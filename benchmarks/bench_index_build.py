@@ -2,8 +2,8 @@
 
 Session build — ``IndexedGraph`` snapshot + target-subgraph enumeration +
 flat-array assembly — is the dominant latency of every new
-:class:`~repro.service.ProtectionService` session, every first subset query
-and every process-mode worker spin-up.  This benchmark measures the three
+:class:`~repro.service.ProtectionService` session built from a graph and of
+every sharded session's shards.  This benchmark measures the three
 construction strategies on a DBLP-shaped synthetic graph, per built-in
 motif::
 

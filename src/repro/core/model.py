@@ -100,6 +100,34 @@ class TPPProblem:
             )
         self._constant = constant
 
+    @classmethod
+    def _from_parts(
+        cls,
+        index: TargetSubgraphIndex,
+        constant: int,
+        graph: Optional[Graph] = None,
+        phase1_graph: Optional[Graph] = None,
+    ) -> "TPPProblem":
+        """Assemble a problem around a built index, skipping ``__init__``.
+
+        The shared constructor of every derived problem (snapshot restore,
+        delta update, constant rebase, target restriction).  Targets and
+        motif come from ``index``; the caller vouches that ``constant`` is
+        at least the index's initial similarity.  ``graph`` /
+        ``phase1_graph`` default to ``None`` — the ``graph`` and
+        ``phase1_graph`` properties then materialise them from the index's
+        :class:`~repro.graphs.indexed.IndexedGraph` on first access, so
+        serving from the kernel never pays for them.
+        """
+        problem = cls.__new__(cls)
+        problem._graph = graph
+        problem._motif = index.motif
+        problem._targets = index.targets
+        problem._phase1_graph = phase1_graph
+        problem._index = index
+        problem._constant = constant
+        return problem
+
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
@@ -261,21 +289,10 @@ class TPPProblem:
         from repro.persistence.snapshot import load_snapshot
 
         snapshot = load_snapshot(path, allow_pickle=allow_pickle)
-        index = snapshot.index
-        # fast restore path: the snapshot's IndexedGraph *is* the phase-1
-        # graph, so both Graph views stay lazy (see the ``graph`` /
-        # ``phase1_graph`` properties) and nothing per-edge runs here.  The
-        # skipped __init__ validation (targets are edges, C >= s(∅, T))
+        # the skipped __init__ validation (targets are edges, C >= s(∅, T))
         # held when the snapshot was saved and is preserved verbatim by the
-        # hash-checked file.
-        problem = cls.__new__(cls)
-        problem._graph = None
-        problem._motif = index.motif
-        problem._targets = index.targets
-        problem._phase1_graph = None
-        problem._index = index
-        problem._constant = snapshot.constant
-        return problem
+        # hash-checked file
+        return cls._from_parts(snapshot.index, snapshot.constant)
 
     def apply_delta(
         self, delta: "repro.motifs.updates.EdgeDelta", constant: Optional[int] = None
@@ -316,17 +333,7 @@ class TPPProblem:
                 f"constant C={constant} is below the post-delta initial "
                 f"similarity {initial}"
             )
-        # same lazy-graph construction as from_snapshot: the updated index
-        # carries the spliced phase-1 graph, both Graph views materialise on
-        # demand
-        problem = type(self).__new__(type(self))
-        problem._graph = None
-        problem._motif = self._motif
-        problem._targets = self._targets
-        problem._phase1_graph = None
-        problem._index = outcome.index
-        problem._constant = constant
-        return problem, outcome
+        return self._from_parts(outcome.index, constant), outcome
 
     def with_constant(self, constant: int) -> "TPPProblem":
         """Return this problem with the dissimilarity constant rebased.
@@ -355,14 +362,33 @@ class TPPProblem:
             )
         if constant == self._constant:
             return self
-        problem = type(self).__new__(type(self))
-        problem._graph = self._graph
-        problem._motif = self._motif
-        problem._targets = self._targets
-        problem._phase1_graph = self._phase1_graph
-        problem._index = self._index
-        problem._constant = constant
-        return problem
+        return self._from_parts(
+            self.build_index(),
+            constant,
+            graph=self._graph,
+            phase1_graph=self._phase1_graph,
+        )
+
+    def restricted_to(self, targets: Sequence[Edge]) -> "TPPProblem":
+        """Return the problem on the target subset ``targets`` — no enumeration.
+
+        The subset problem keeps this problem's phase-1 graph (every target
+        of ``T`` stays hidden, as the paper's phase 1 requires) and its
+        constant ``C`` — valid because the subset counts a subset of this
+        problem's instances, so its initial similarity cannot exceed ``C``.
+        Its index is :meth:`TargetSubgraphIndex.restricted_to
+        <repro.motifs.enumeration.TargetSubgraphIndex.restricted_to>` of
+        this problem's (built) index, sharing the same
+        :class:`~repro.graphs.indexed.IndexedGraph`, and both ``Graph``
+        views stay lazy.  Targets keep the given order.
+
+        Raises
+        ------
+        MotifError
+            If a target is not a target of this problem, or is repeated.
+        """
+        index = self.build_index().restricted_to(targets)
+        return self._from_parts(index, self._constant)
 
     @property
     def has_cached_index(self) -> bool:

@@ -216,11 +216,11 @@ def _pool_context():
     """Return the multiprocessing context for the build pool.
 
     ``forkserver`` (falling back to ``spawn`` where unavailable): the build
-    can be triggered lazily from a thread that is concurrently serving
-    queries — a subset sub-session enumerating inside ``solve_many`` — and
-    plain ``fork`` from a multi-threaded process can clone a held allocator
-    lock into the child and deadlock.  The worker payload already travels by
-    pickle (``initargs``), so nothing relies on fork's memory inheritance.
+    can run in a process whose other threads are concurrently serving
+    queries, and plain ``fork`` from a multi-threaded process can clone a
+    held allocator lock into the child and deadlock.  The worker payload
+    already travels by pickle (``initargs``), so nothing relies on fork's
+    memory inheritance.
     """
     try:
         return multiprocessing.get_context("forkserver")
@@ -418,6 +418,50 @@ class TargetSubgraphIndex:
         self._assemble_numpy(edge_buffer, arity_buffer, counts)
         self._finalize_derived()
         return self
+
+    def restricted_to(self, targets: Sequence[Edge]) -> "TargetSubgraphIndex":
+        """Return the index of a target subset, sliced from this one.
+
+        Each target's instances are enumerated independently on the shared
+        phase-1 graph (every target of the full set hidden), so the subset's
+        pass-1 buffers are exactly the kept targets' contiguous instance
+        blocks of this index.  Those blocks, taken in the order of
+        ``targets``, go through the same :meth:`_from_buffers` assembly as
+        a fresh build — the result is bit-identical to enumerating the
+        subset on this index's graph, at the cost of array slices.  The
+        restricted index shares this index's
+        :class:`~repro.graphs.indexed.IndexedGraph`.
+
+        Raises
+        ------
+        MotifError
+            If a target is not a target of this index, or is repeated.
+        """
+        kept = tuple(canonical_edge(*target) for target in targets)
+        if len(set(kept)) != len(kept):
+            raise MotifError(f"restriction targets contain duplicates: {kept!r}")
+        unknown = [target for target in kept if target not in self._target_index]
+        if unknown:
+            raise MotifError(f"{unknown!r} are not targets of this index")
+        inst_indptr = self._inst_indptr
+        edge_parts = [np.empty(0, dtype=NP_LONG)]
+        arity_parts = [np.empty(0, dtype=NP_LONG)]
+        counts: List[int] = []
+        for target in kept:
+            start, end = self._target_ranges[self._target_index[target]]
+            edge_parts.append(
+                self._inst_edge_ids[inst_indptr[start] : inst_indptr[end]]
+            )
+            arity_parts.append(np.diff(inst_indptr[start : end + 1]))
+            counts.append(end - start)
+        return TargetSubgraphIndex._from_buffers(
+            self._indexed,
+            kept,
+            self._motif,
+            np.concatenate(edge_parts),
+            np.concatenate(arity_parts),
+            counts,
+        )
 
     def apply_delta(self, delta) -> "repro.motifs.updates.DeltaOutcome":
         """Apply an :class:`~repro.motifs.updates.EdgeDelta` incrementally.

@@ -1,10 +1,10 @@
 """Session bundles: one file holding a session *and* its subset caches.
 
 A plain index snapshot (:mod:`repro.persistence.snapshot`) restores the
-parent session without enumeration, but every cached subset sub-session —
-each one a full enumeration over a different target subset — is lost and
-must be re-built on the replica's first subset query.  A session bundle
-closes that gap: :func:`save_session` writes the parent snapshot plus one
+parent session without enumeration, but its cached subset sub-sessions are
+lost and are re-derived (restricted from the parent index) on the
+replica's first query for each subset.  A session bundle keeps them:
+:func:`save_session` writes the parent snapshot plus one
 snapshot per LRU-cached subset sub-session into a single ``.tppsess`` zip
 archive, and :func:`load_session` restores the parent and wires every
 sub-session back into the cache, so a cold-started replica answers subset
@@ -186,7 +186,7 @@ def load_session(
     <repro.service.ProtectionService.from_snapshot>` (``index_source``
     reports ``"snapshot"``), and every bundled subset sub-session is wired
     back into the LRU cache in its saved order — so the restored replica
-    serves subset queries without re-enumeration.
+    serves those subset queries without re-deriving their sub-sessions.
 
     Parameters
     ----------

@@ -352,7 +352,7 @@ def save_snapshot(
     # stored by registry name only when the instance *is* the registered
     # class — an unregistered pattern that merely shares a registered name
     # must travel by pickle, or loading would silently substitute the
-    # registry's (different) pattern for recounts and subset re-enumeration
+    # registry's (different) pattern for recounts and delta re-enumeration
     if motif.name.lower() in available_motifs() and type(motif) is type(
         get_motif(motif.name)
     ):

@@ -40,7 +40,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from repro.core.engines import CoverageEngine, MarginalGainEngine
 from repro.core.model import ProtectionResult, TPPProblem
@@ -79,13 +79,16 @@ class ProtectionService:
         The dissimilarity constant ``C`` (ignored when a problem is given).
     max_cached_subsets:
         How many target-subset sub-sessions to keep (least-recently-used
-        eviction; each caches a full enumerated index).  ``None`` means
-        unbounded.
+        eviction; each caches an index restricted from the session's, see
+        :meth:`TargetSubgraphIndex.restricted_to
+        <repro.motifs.enumeration.TargetSubgraphIndex.restricted_to>`).
+        ``None`` means unbounded.
     build_workers:
         ``None``/``0``/``1`` builds the index serially; ``N > 1`` fans the
         per-target enumeration (pass 1) out over ``N`` worker processes —
-        bit-identical index for every worker count.  Inherited by subset
-        sub-session builds.  Worth it once enumeration dominates the build
+        bit-identical index for every worker count.  Forwarded to subset
+        sub-sessions (which never enumerate: their index is restricted
+        from this one's).  Worth it once enumeration dominates the build
         (many targets on a large graph); a small session pays pool spin-up
         for nothing.
     kernel:
@@ -145,7 +148,6 @@ class ProtectionService:
         self._subsessions: "OrderedDict[Tuple[Edge, ...], ProtectionService]" = (
             OrderedDict()
         )
-        self._subset_builders: Dict[Tuple[Edge, ...], threading.Lock] = {}  # reprolint: guarded-by(_lock)
         self._max_cached_subsets = max_cached_subsets
         self._lock = threading.Lock()
         self._queries_served = 0  # reprolint: guarded-by(_lock)
@@ -188,11 +190,12 @@ class ProtectionService:
             Refuse snapshots with pickled sections (custom motifs, exotic
             node labels) when ``False``.
         max_cached_subsets:
-            As in the constructor (subset sub-sessions still enumerate —
-            they cover a different instance set than the snapshot).
+            As in the constructor.  Subset sub-sessions do not enumerate
+            either: their indexes are restricted from the restored one, and
+            the restored problem's ``Graph`` views stay unmaterialised.
         build_workers:
-            As in the constructor; only subset sub-session builds can
-            trigger it, the snapshot itself never re-enumerates.
+            As in the constructor; nothing a snapshot-restored session does
+            enumerates, so it only travels along to sub-sessions.
         kernel:
             As in the constructor (the snapshot stores arrays, not a
             kernel choice; the restored session resolves its own).
@@ -226,7 +229,7 @@ class ProtectionService:
 
         Like :meth:`from_snapshot`, but the bundle also carries the subset
         sub-session indexes that were cached when it was saved, so a
-        restored replica answers subset queries without re-enumeration
+        restored replica answers those subset queries from the cache
         (their first query reports ``reused_index: true``).  Delegates to
         :func:`repro.persistence.load_session`.
         """
@@ -263,17 +266,18 @@ class ProtectionService:
     ) -> "ProtectionService":
         """Open a session on ``kept`` ⊆ ``all_targets`` with phase-1 semantics.
 
-        This is the one place target filtering happens, and it happens
-        *before* enumeration: the non-kept targets are removed from the
-        graph first, so the session's phase-1 graph equals the phase-1
-        graph of the full target set (all of ``T`` stays hidden — the
-        paper removes every sensitive link in phase 1) and the session
-        never enumerates a non-kept target.  Both target-filtering paths —
-        subset sub-sessions (:meth:`solve` with ``request.targets``) and
-        the shards of
-        :class:`~repro.service.sharding.ShardedProtectionService` — build
-        through here, which is what makes them trace-identical on the same
-        target set (pinned by the sharding differential suite).
+        Target filtering happens *before* enumeration: the non-kept
+        targets are removed from the graph first, so the session's phase-1
+        graph equals the phase-1 graph of the full target set (all of ``T``
+        stays hidden — the paper removes every sensitive link in phase 1)
+        and the session never enumerates a non-kept target.  The shards of
+        :class:`~repro.service.sharding.ShardedProtectionService` build
+        through here.  Subset sub-sessions (:meth:`solve` with
+        ``request.targets``) do not: they restrict the session's built
+        index instead (:meth:`_subset_session`), which yields the same
+        arrays without enumerating — the subset differential suite pins
+        the two bit-identical, and the sharding differential suite pins
+        shards trace-identical to subset queries on the same target set.
 
         ``kept`` is put in the library-wide
         :func:`~repro.graphs.graph.edge_sort_key` order (duplicates raise
@@ -387,7 +391,7 @@ class ProtectionService:
         always served from the kernel).  The returned result carries service
         metadata under ``extra["service"]``: the request echo, whether the
         shared index was reused (false for recount queries and for the first
-        query on a fresh target subset, which enumerates its sub-session),
+        query on a fresh target subset, which derives its sub-session),
         where the answering session's index came from (``index_source``:
         ``"built"`` or ``"snapshot"``), and the build/solve timing split.
         """
@@ -417,7 +421,9 @@ class ProtectionService:
         if request.targets is not None and set(request.targets) != set(
             problem.targets
         ):
-            session, was_cached = self._subset_session(request.targets)
+            session, was_cached = self._subset_session(
+                request.targets, problem, index
+            )
             result = session.solve(request.with_overrides(targets=None))
             # the sub-session answered a full-target query; restore the
             # caller's view: echo the original (subset) request and only
@@ -533,19 +539,21 @@ class ProtectionService:
 
         ``targets`` restricts the trace to a target subset exactly as
         :meth:`solve` does — the replay then runs on that subset's
-        sub-session (built through :meth:`for_filtered_targets`, cached in
-        the LRU).  This is the gather half of the sharded merge: every
+        sub-session (derived by :meth:`_subset_session`, cached in the
+        LRU).  This is the gather half of the sharded merge: every
         shard replays the *full* merged protector sequence on its own
         piece, and the element-wise sum of the per-shard traces is the
         whole request's trace.
         """
+        with self._lock:
+            problem = self._problem
+            index = self._index
+            prototype = self._prototype
         if targets is not None:
             canonical = tuple(canonical_edge(*target) for target in targets)
-            if set(canonical) != set(self._problem.targets):
-                session, _ = self._subset_session(canonical)
+            if set(canonical) != set(problem.targets):
+                session, _ = self._subset_session(canonical, problem, index)
                 return session.evaluate_trace(protectors)
-        with self._lock:
-            prototype = self._prototype
         state = prototype.copy()
         trace = [state.total_similarity()]
         for protector in protectors:
@@ -673,20 +681,27 @@ class ProtectionService:
         )
 
     def _subset_session(
-        self, targets: Tuple[Edge, ...]
+        self,
+        targets: Tuple[Edge, ...],
+        problem: TPPProblem,
+        index: TargetSubgraphIndex,
     ) -> Tuple["ProtectionService", bool]:
         """Return ``(sub-session, was already cached)`` for a subset query.
 
-        A subset changes which instances count, so it needs its own
-        enumeration — built on first use, then shared by every later query
+        ``problem`` and ``index`` are the session state the caller captured
+        under ``_lock``.  A subset changes which instances count, so it
+        needs its own index — derived on first use by restricting
+        ``problem``'s built index to the subset
+        (:meth:`TPPProblem.restricted_to
+        <repro.core.model.TPPProblem.restricted_to>`: array slices, no
+        enumeration, no ``Graph`` views), then shared by every later query
         on the same subset.  Two invariants keep subset semantics aligned
         with the session's:
 
-        * The sub-problem is built on the session's graph with the
-          *non-subset* targets already removed, so its phase-1 graph equals
-          the parent's — all of ``T`` stays hidden (the paper removes every
-          sensitive link in phase 1), and a subset query's released graph
-          never leaks the targets outside the subset.
+        * The sub-problem shares the session's phase-1 graph — all of ``T``
+          stays hidden (the paper removes every sensitive link in phase 1),
+          and a subset query's released graph never leaks the targets
+          outside the subset.
         * Because the sub-problem counts a subset of the parent's instances
           on the same phase-1 graph, its initial similarity is <= the
           parent's <= the parent's constant ``C``, so the sub-session can
@@ -698,71 +713,53 @@ class ProtectionService:
         naming the same subset in different orders share one cached
         sub-session and return identical protector traces.
 
-        The cache is bounded (``max_cached_subsets``, LRU eviction), and a
-        per-subset build lock ensures concurrent first queries on the same
-        subset enumerate it once — the waiters reuse the winner's session.
+        The cache is bounded (``max_cached_subsets``, LRU eviction) and
+        only ever holds sub-sessions of the index the session currently
+        serves: a lookup or insert for a captured ``index`` that a delta
+        has since replaced is skipped (the sub-session still answers the
+        caller, consistently with its pre-delta view).  Concurrent first
+        queries on one subset may each derive it (a millisecond of array
+        slicing); the first insert wins and the others adopt it.
         """
         subset = tuple(
             sorted((canonical_edge(*target) for target in targets), key=edge_sort_key)
         )
-        subset_set = set(subset)
-        if len(subset_set) != len(subset):
+        if len(set(subset)) != len(subset):
             raise ExperimentError(
                 f"request targets contain duplicate links: {subset!r}"
             )
-        known = set(self._problem.targets)
+        known = set(problem.targets)
         unknown = [target for target in subset if target not in known]
         if unknown:
             raise ExperimentError(
                 f"request targets {unknown!r} are not targets of this session"
             )
-        session = self._cached_subsession(subset)
-        if session is not None:
-            return session, True
         with self._lock:
-            builder = self._subset_builders.setdefault(subset, threading.Lock())
-        with builder:
-            try:
-                # a concurrent first query may have finished the enumeration
-                # while we waited on the build lock — check again before paying
-                session = self._cached_subsession(subset)
+            if self._index is index:
+                session = self._subsessions.get(subset)
                 if session is not None:
+                    self._subsessions.move_to_end(subset)
                     return session, True
-                session = ProtectionService.for_filtered_targets(
-                    self._problem.graph,
-                    self._problem.targets,
-                    subset,
-                    motif=self._problem.motif,
-                    constant=self._problem.constant,
-                    max_cached_subsets=self._max_cached_subsets,
-                    build_workers=self._build_workers,
-                    kernel=self._kernel_request,
-                )
-                with self._lock:
-                    self._subsessions[subset] = session
-                    while (
-                        self._max_cached_subsets is not None
-                        and len(self._subsessions) > self._max_cached_subsets
-                    ):
-                        self._subsessions.popitem(last=False)
-            finally:
-                # only remove our own registration: after an LRU eviction a
-                # later thread may already be rebuilding this subset under a
-                # fresh builder lock, which a stale waiter must not pop
-                with self._lock:
-                    if self._subset_builders.get(subset) is builder:
-                        del self._subset_builders[subset]
-        return session, False
-
-    def _cached_subsession(
-        self, subset: Tuple[Edge, ...]
-    ) -> Optional["ProtectionService"]:
-        """Return the cached sub-session for ``subset``, refreshing its LRU slot."""
+        session = ProtectionService(
+            problem.restricted_to(subset),
+            max_cached_subsets=self._max_cached_subsets,
+            build_workers=self._build_workers,
+            kernel=self._kernel_request,
+        )
         with self._lock:
-            session = self._subsessions.get(subset)
-            if session is not None:
+            # cache only while the session still serves the index this
+            # sub-session was derived from: a delta swap in the meantime
+            # evicted the changed subsets, and a pre-delta sub-session must
+            # not refill the slot
+            if self._index is index:
+                session = self._subsessions.setdefault(subset, session)
                 self._subsessions.move_to_end(subset)
-            return session
+                while (
+                    self._max_cached_subsets is not None
+                    and len(self._subsessions) > self._max_cached_subsets
+                ):
+                    self._subsessions.popitem(last=False)
+        return session, False
 
     def cached_subset_sessions(
         self,
@@ -772,7 +769,7 @@ class ProtectionService:
         The returned mapping is a point-in-time copy — iterating it does
         not refresh LRU slots or block concurrent queries.  Session bundles
         (:meth:`save_session`) persist these sub-sessions so a restored
-        replica serves subset queries without re-enumeration.
+        replica serves subset queries from its cache.
         """
         with self._lock:
             return OrderedDict(self._subsessions)
@@ -783,7 +780,7 @@ class ProtectionService:
         Used by the session-bundle restore path
         (:func:`repro.persistence.load_session`): the sub-session arrives
         with its index already built (from its snapshot section), so later
-        subset queries on its targets reuse it instead of enumerating.  The
+        subset queries on its targets reuse it instead of deriving one.  The
         cache key is recomputed with the library-wide ordering and the LRU
         bound is enforced exactly as for a built sub-session.
         """

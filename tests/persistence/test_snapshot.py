@@ -199,8 +199,8 @@ class TestServiceColdStart:
     def test_cold_started_session_serves_target_subsets(
         self, tmp_path, graph, targets
     ):
-        """Subset queries enumerate their sub-session on the lazily
-        materialised graphs — same answers as a built session's."""
+        """Subset queries on a cold-started session give the same answers
+        as a built session's."""
         _, path = saved_problem(tmp_path, graph, targets, "triangle")
         built = ProtectionService(graph, targets, motif="triangle")
         cold = ProtectionService.from_snapshot(path)
@@ -209,6 +209,21 @@ class TestServiceColdStart:
         a, b = built.solve(request), cold.solve(request)
         assert a.protectors == b.protectors
         assert a.similarity_trace == b.similarity_trace
+
+    def test_subset_solve_on_restored_parent_derives_without_graphs(
+        self, tmp_path, graph, targets
+    ):
+        """A subset query restricts the restored index: the parent's Graph
+        views stay unmaterialised and the sub-session shares its graph."""
+        _, path = saved_problem(tmp_path, graph, targets, "triangle")
+        cold = ProtectionService.from_snapshot(path)
+        subset = tuple(sorted(targets)[:2])
+        cold.solve(ProtectionRequest("SGB-Greedy", 6, targets=subset))
+        assert cold.problem._graph is None
+        assert cold.problem._phase1_graph is None
+        (subsession,) = cold.cached_subset_sessions().values()
+        assert subsession.index.indexed_graph is cold.index.indexed_graph
+        assert subsession.problem.constant == cold.problem.constant
 
     def test_problem_constructor_rejects_foreign_index(self, tmp_path, graph, targets):
         _, path = saved_problem(tmp_path, graph, targets, "triangle")

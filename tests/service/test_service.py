@@ -302,7 +302,7 @@ class TestTargetSubsets:
             ProtectionService(graph, targets, max_cached_subsets=0)
 
     def test_concurrent_first_subset_queries_share_one_session(self, service, targets):
-        """Concurrent first queries on a fresh subset enumerate it once."""
+        """Concurrent first queries on a fresh subset cache one sub-session."""
         subset = tuple(targets[:3])
         batch = [
             ProtectionRequest(method, 3, targets=subset)
@@ -310,7 +310,6 @@ class TestTargetSubsets:
         ]
         results = service.solve_many(batch, workers=4)
         assert len(service._subsessions) == 1
-        assert service._subset_builders == {}
         serial = [service.solve(request) for request in batch]
         assert [trace(r) for r in results] == [trace(r) for r in serial]
 
@@ -356,13 +355,12 @@ class TestTargetSubsets:
 
     def test_duplicate_subset_targets_rejected_cleanly(self, service, targets):
         """A duplicated link (e.g. both orientations) must fail with a clear
-        error, not a deep InvalidTargetError, and must leak no builder lock."""
+        error, not a deep InvalidTargetError, and must cache nothing."""
         u, v = targets[0]
         with pytest.raises(ExperimentError, match="duplicate"):
             service.solve(
                 ProtectionRequest("SGB-Greedy", 2, targets=((u, v), (v, u)))
             )
-        assert service._subset_builders == {}
         assert len(service._subsessions) == 0
 
     def test_full_set_permutation_served_by_main_session(self, service):

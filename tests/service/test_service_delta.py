@@ -7,11 +7,16 @@ Covers the PR's acceptance guarantees:
   built on the updated graph,
 * copy-on-write — a solve captured before the swap is unaffected,
 * subset sub-sessions are invalidated only for subsets that intersect the
-  delta's changed targets,
+  delta's changed targets, and a sub-session derived from the pre-delta
+  index while a delta lands is never cached,
 * ``deltas_applied`` / ``index_source`` surface in the result metadata, and
 * constant handling — auto-bump to the post-delta initial similarity, typed
   refusal of an explicit constant below it.
 """
+
+import sys
+import threading
+import time
 
 import pytest
 
@@ -20,6 +25,7 @@ from repro.datasets.targets import sample_random_targets
 from repro.exceptions import DeltaError, ExperimentError
 from repro.graphs.generators import powerlaw_cluster_graph
 from repro.graphs.graph import canonical_edge
+from repro.motifs.enumeration import TargetSubgraphIndex
 from repro.motifs.updates import EdgeDelta
 from repro.service import ProtectionRequest, ProtectionService
 
@@ -182,3 +188,127 @@ class TestApplyDelta:
         # an empty delta on the current session state reproduces its graph
         fresh = ProtectionService(updated_graph_problem(service, EdgeDelta(())))
         assert trace(service.solve(request)) == trace(fresh.solve(request))
+
+
+class TestSubsetDerivationRace:
+    def test_delta_during_derivation_never_caches_a_stale_subsession(
+        self, service, monkeypatch
+    ):
+        """A delta installed while a subset sub-session is being derived
+        from the pre-delta index must not leave that sub-session cached."""
+        index = service.index
+        subset = tuple(
+            target for target in service.problem.targets
+            if index.initial_similarity(target) > 0
+        )[:2]
+        assert subset, "fixture needs a target with motif instances"
+        first_instance = index.instances_of(subset[0])[0]
+        victim = sorted(index.edges_of_instance(first_instance))[0]
+        delta = EdgeDelta.deleting(victim)
+        request = ProtectionRequest("SGB-Greedy", 4, targets=subset)
+        pre_delta = trace(ProtectionService(service.problem).solve(request))
+        post_delta = trace(
+            ProtectionService(updated_graph_problem(service, delta)).solve(request)
+        )
+        assert pre_delta != post_delta
+
+        original = TargetSubgraphIndex.restricted_to
+        raced = []
+
+        def restrict_then_race(self_index, targets):
+            # the delta lands mid-derivation, after the caller captured the
+            # pre-delta index; apply_delta takes _delta_lock, not _lock, so
+            # this cannot deadlock
+            if not raced:
+                raced.append(targets)
+                service.apply_delta(delta)
+            return original(self_index, targets)
+
+        monkeypatch.setattr(
+            TargetSubgraphIndex, "restricted_to", restrict_then_race
+        )
+        during = service.solve(request)
+        assert raced and service.deltas_applied == 1
+        # the racing query answered for the state it captured
+        assert trace(during) == pre_delta
+        after = service.solve(request)
+        assert trace(after) == post_delta
+        assert after.extra["service"]["reused_index"] is False
+        # the post-delta sub-session is the one that got cached
+        assert trace(service.solve(request)) == post_delta
+        assert len(service._subsessions) == 1
+
+    def test_concurrent_subset_queries_and_deltas_leave_no_stale_cache(
+        self, service, monkeypatch
+    ):
+        """Subset queries on more threads than cores race a stream of
+        target-touching deltas; afterwards every cached sub-session must
+        answer exactly like one derived from the final session state."""
+        index = service.index
+        live = [
+            target for target in service.problem.targets
+            if index.initial_similarity(target) > 0
+        ]
+        subsets = [tuple(live[i : i + 2]) for i in range(len(live) - 1)]
+        assert subsets, "fixture needs two targets with motif instances"
+        # round-robin over the targets, so consecutive deltas change
+        # overlapping subsets and the last round leaves each one changed
+        per_target = [
+            [sorted(index.edges_of_instance(i))[0] for i in index.instances_of(t)]
+            for t in live
+        ]
+        victims = []
+        for round_edges in zip(*(edges[:3] for edges in per_target)):
+            victims.extend(edge for edge in round_edges if edge not in victims)
+        requests = [
+            ProtectionRequest("SGB-Greedy", 3, targets=subset) for subset in subsets
+        ]
+        original = TargetSubgraphIndex.restricted_to
+
+        def slow_restriction(self_index, targets):
+            # widen the window in which a delta can land mid-derivation
+            time.sleep(0.002)
+            return original(self_index, targets)
+
+        monkeypatch.setattr(TargetSubgraphIndex, "restricted_to", slow_restriction)
+        stop = threading.Event()
+        errors = []
+
+        def reader(offset):
+            position = offset
+            while not stop.is_set():
+                try:
+                    service.solve(requests[position % len(requests)])
+                except Exception as error:  # surfaced by the assertion below
+                    errors.append(error)
+                    return
+                position += 1
+
+        def writer():
+            try:
+                for edge in victims:
+                    service.apply_delta(EdgeDelta.deleting(edge))
+            finally:
+                stop.set()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(offset,)) for offset in range(5)
+            ]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+            stop.set()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert service.deltas_applied == len(victims)
+        request = ProtectionRequest("SGB-Greedy", 3)
+        for subset, cached in service.cached_subset_sessions().items():
+            fresh = ProtectionService(service.problem.restricted_to(subset))
+            assert trace(cached.solve(request)) == trace(fresh.solve(request)), subset

@@ -849,6 +849,60 @@ class TestShardBoundaryRule:
         )
         assert findings == []
 
+    def test_private_hooks_in_service_flagged(self):
+        findings, _ = lint(
+            """
+            import repro.motifs.enumeration as enumeration
+            from repro.motifs.enumeration import TargetSubgraphIndex
+
+            def _build_shard_index(indexed, targets, motif, edges, arities, counts):
+                return TargetSubgraphIndex._from_buffers(
+                    indexed, targets, motif, edges, arities, counts
+                )
+
+            def restore(indexed, targets, motif, arrays):
+                return enumeration.TargetSubgraphIndex._restore(
+                    indexed, targets, motif, arrays
+                )
+            """,
+            "R8",
+            relpath="src/repro/service/service.py",
+        )
+        # the sanctioned factory may construct, but never bypass through a hook
+        assert codes(findings) == ["R8-private-index-hook"] * 2
+        assert "_from_buffers" in findings[0].message
+        assert "'_build_shard_index'" in findings[0].message
+        assert "restricted_to" in findings[1].message
+
+    def test_restriction_and_other_hooks_clean(self):
+        findings, _ = lint(
+            """
+            from repro.graphs.indexed import IndexedGraph
+
+            def subset_index(index, kept, nodes, edge_ids, indptr, nbrs, inc):
+                graph = IndexedGraph._restore(nodes, edge_ids, indptr, nbrs, inc)
+                return index.restricted_to(kept), graph
+            """,
+            "R8",
+            relpath="src/repro/service/service.py",
+        )
+        assert findings == []
+
+    def test_private_hooks_outside_service_clean(self):
+        findings, _ = lint(
+            """
+            from repro.motifs.enumeration import TargetSubgraphIndex
+
+            def splice(indexed, targets, motif, edges, arities, counts):
+                return TargetSubgraphIndex._from_buffers(
+                    indexed, targets, motif, edges, arities, counts
+                )
+            """,
+            "R8",
+            relpath="src/repro/motifs/updates.py",
+        )
+        assert findings == []
+
     def test_suppression_with_reason_absorbs(self):
         findings, suppressed = lint(
             """

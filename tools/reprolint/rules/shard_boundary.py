@@ -1,17 +1,22 @@
-"""R8 — shard-boundary: service code builds indexes through the factories.
+"""R8 — shard-boundary: service code derives indexes only through factories.
 
 The sharding identity theorem rests on one construction invariant: every
-index in the service layer is enumerated on a phase-1 graph with *all*
-session targets hidden, filtered *before* enumeration.  Two factories
-embody it — :func:`repro.service.sharding._build_shard_index` (the shard
-path) and :meth:`ProtectionService.for_filtered_targets` (the subset
-path, which routes through ``TPPProblem``).  A service module that calls
-``TargetSubgraphIndex(...)`` directly can silently enumerate non-shard
-targets or a differently-filtered graph, breaking bit-identity in a way
-no single test would localise — so the lint forbids the constructor in
-``repro/service/`` outside the sanctioned factory.
+index in the service layer covers instances enumerated on a phase-1 graph
+with *all* session targets hidden, filtered *before* enumeration.  Three
+entry points embody it — :func:`repro.service.sharding._build_shard_index`
+(the shard path), :meth:`ProtectionService.for_filtered_targets` (which
+routes through ``TPPProblem``) and
+:meth:`TargetSubgraphIndex.restricted_to` (the subset path: it slices a
+built index's per-target blocks, so nothing is re-enumerated at all).  A
+service module that calls ``TargetSubgraphIndex(...)`` directly can
+silently enumerate non-shard targets or a differently-filtered graph, and
+one that feeds the private assembly hooks ``TargetSubgraphIndex._from_buffers``
+/ ``TargetSubgraphIndex._restore`` hand-made buffers skips every check those
+entry points make — either breaks bit-identity in a way no single test
+would localise.  So the lint forbids the constructor in ``repro/service/``
+outside the sanctioned factory, and the private hooks everywhere in it.
 
-Code: ``R8-direct-index``.
+Codes: ``R8-direct-index``, ``R8-private-index-hook``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ _SERVICE_PACKAGE_FRAGMENT = "repro/service/"
 #: the one function allowed to construct a TargetSubgraphIndex directly.
 _SANCTIONED_FACTORY = "_build_shard_index"
 
+#: TargetSubgraphIndex's private assembly hooks (delta splices, snapshot
+#: restores); service code reaches them only through the public factories.
+_PRIVATE_HOOKS = ("_from_buffers", "_restore")
+
 
 def _in_service_package(ctx: ModuleContext) -> bool:
     return _SERVICE_PACKAGE_FRAGMENT in ctx.relpath.replace("\\", "/")
@@ -43,13 +52,28 @@ def _constructs_index(call: ast.Call) -> bool:
     return False
 
 
+def _private_hook(call: ast.Call) -> Optional[str]:
+    """The hook name if ``call`` is ``TargetSubgraphIndex._from_buffers`` /
+    ``_restore`` (also through a module attribute), else ``None``."""
+    function = call.func
+    if not isinstance(function, ast.Attribute) or function.attr not in _PRIVATE_HOOKS:
+        return None
+    owner = function.value
+    if isinstance(owner, ast.Name) and owner.id == "TargetSubgraphIndex":
+        return function.attr
+    if isinstance(owner, ast.Attribute) and owner.attr == "TargetSubgraphIndex":
+        return function.attr
+    return None
+
+
 class ShardBoundaryRule(Rule):
     family = "R8"
     name = "shard-boundary"
     description = (
-        "service code never constructs TargetSubgraphIndex directly; "
-        "indexes come from the shard/session factories that filter "
-        "targets before enumeration"
+        "service code never constructs TargetSubgraphIndex directly or "
+        "through its private assembly hooks; indexes come from the "
+        "factories that filter targets before enumeration or restrict a "
+        "built index"
     )
 
     def check_module(self, ctx: ModuleContext) -> List[Finding]:
@@ -75,9 +99,24 @@ def _check_scope(
             _check_scope(node, enclosing, ctx, findings)
             continue
         for call in ast.walk(node):
-            if not isinstance(call, ast.Call) or not _constructs_index(call):
+            if not isinstance(call, ast.Call):
                 continue
-            if enclosing == _SANCTIONED_FACTORY:
+            hook = _private_hook(call)
+            if hook is not None:
+                findings.append(
+                    Finding(
+                        "R8-private-index-hook",
+                        ctx.path,
+                        call.lineno,
+                        call.col_offset,
+                        f"TargetSubgraphIndex.{hook} called from service code "
+                        f"(enclosing function {enclosing or '<module>'!r}); "
+                        "derive indexes through TargetSubgraphIndex."
+                        "restricted_to or the existing factories",
+                    )
+                )
+                continue
+            if not _constructs_index(call) or enclosing == _SANCTIONED_FACTORY:
                 continue
             findings.append(
                 Finding(
@@ -88,7 +127,7 @@ def _check_scope(
                     "direct TargetSubgraphIndex construction in service "
                     f"code (enclosing function {enclosing or '<module>'!r}); "
                     "build indexes through _build_shard_index or "
-                    "ProtectionService.for_filtered_targets so targets are "
-                    "filtered before enumeration",
+                    "ProtectionService.for_filtered_targets, or restrict a "
+                    "built one with TargetSubgraphIndex.restricted_to",
                 )
             )
