@@ -2,30 +2,23 @@
 
 Session build — ``IndexedGraph`` snapshot + target-subgraph enumeration +
 flat-array assembly — is the dominant latency of every new
-:class:`~repro.service.ProtectionService` session built from a graph and of
-every sharded session's shards.  This benchmark measures the three
-construction strategies on a DBLP-shaped synthetic graph, per built-in
-motif::
+:class:`~repro.service.ProtectionService` session built from a graph.  This
+benchmark measures the two construction strategies on a DBLP-shaped
+synthetic graph, per built-in motif::
 
     seed        assembly="python": the seed's element-wise loops (per-node
                 neighbor sorts, per-membership CSR cursors, per-slot counter
                 walk)
     vectorized  assembly="numpy" (the default): bulk counting sorts
                 (np.lexsort / np.argsort / np.bincount / np.cumsum)
-    workers=N   vectorized assembly + pass-1 enumeration fanned out over N
-                worker processes (build_workers=N)
 
-and verifies, for every strategy, that the resulting index is **bit
-identical** to the seed build (all ten flat arrays compared by bytes) and
-that an SGB greedy run on it produces an identical protector trace — the
-benchmark doubles as a differential test and exits non-zero on any mismatch.
+and verifies that the vectorized index is **bit identical** to the seed
+build (all ten flat arrays compared by bytes) and that an SGB greedy run on
+it produces an identical protector trace — the benchmark doubles as a
+differential test and exits non-zero on any mismatch.
 
 Acceptance target: the vectorized build is >= 2x the seed build on a single
-CPU at the committed scale.  The worker fan-out can only win wall-clock when
-the machine has cores to fan out to; ``available_cpus`` is recorded and the
-``workers_beat_serial`` flag is expected true only on multi-core boxes
-(single-core machines pay pickling overhead for no parallelism — the flag
-stays honest, like the service-throughput report's).
+CPU at the committed scale.
 
 Run with::
 
@@ -94,8 +87,6 @@ def run(args: argparse.Namespace) -> dict:
         for target in sample_degree_weighted_targets(graph, args.targets, seed=args.seed)
     ]
     phase1 = graph.without_edges(targets)
-    worker_counts = sorted(set(args.workers))
-    cpus = _available_cpus()
 
     per_motif: Dict[str, dict] = {}
     all_identical = True
@@ -103,7 +94,6 @@ def run(args: argparse.Namespace) -> dict:
     speedups: List[float] = []
     total_seed_seconds = 0.0
     total_vectorized_seconds = 0.0
-    workers_beat_serial = False
 
     for motif in args.motifs:
         seed_index, seed_seconds = _timed_build(
@@ -118,21 +108,7 @@ def run(args: argparse.Namespace) -> dict:
         reference_trace = _greedy_trace(problem, seed_index, budget)
         motif_traces_agree = _greedy_trace(problem, vec_index, budget) == reference_trace
 
-        workers_seconds: Dict[str, float] = {}
-        for count in worker_counts:
-            par_index, par_seconds = _timed_build(
-                phase1, targets, motif, args.repeats, build_workers=count
-            )
-            workers_seconds[str(count)] = round(par_seconds, 6)
-            identical = identical and _fingerprint(par_index) == reference
-            motif_traces_agree = motif_traces_agree and (
-                _greedy_trace(problem, par_index, budget) == reference_trace
-            )
-
         speedup = seed_seconds / vec_seconds if vec_seconds > 0 else float("inf")
-        best_workers = min(workers_seconds.values()) if workers_seconds else None
-        if best_workers is not None and best_workers < vec_seconds:
-            workers_beat_serial = True
         speedups.append(speedup)
         total_seed_seconds += seed_seconds
         total_vectorized_seconds += vec_seconds
@@ -144,7 +120,6 @@ def run(args: argparse.Namespace) -> dict:
             "seed_seconds": round(seed_seconds, 6),
             "vectorized_seconds": round(vec_seconds, 6),
             "vectorized_speedup": round(speedup, 2),
-            "workers_seconds": workers_seconds,
             "identical": identical,
             "greedy_trace_agrees": motif_traces_agree,
         }
@@ -167,22 +142,16 @@ def run(args: argparse.Namespace) -> dict:
             "seed": args.seed,
             "repeats": args.repeats,
             "motifs": list(args.motifs),
-            "worker_counts": worker_counts,
             "cpu_count": os.cpu_count(),
         },
-        "available_cpus": cpus,
+        "available_cpus": _available_cpus(),
         "motifs": per_motif,
         "min_vectorized_speedup": round(min_speedup, 2),
         "overall_vectorized_speedup": round(overall_speedup, 2),
         "vectorized_speedup_target": VECTORIZED_SPEEDUP_TARGET,
         "vectorized_speedup_met": overall_speedup >= VECTORIZED_SPEEDUP_TARGET,
-        "parallel_identical": all_identical,
+        "builds_identical": all_identical,
         "greedy_traces_agree": traces_agree,
-        "workers_beat_serial": workers_beat_serial,
-        # single-core boxes pay fan-out overhead for no parallelism; the
-        # regression gate only enforces this flag once a multi-core run
-        # committed it as true
-        "workers_beat_serial_expected": cpus > 1,
     }
     return report
 
@@ -199,13 +168,6 @@ def main(argv=None) -> int:
         help="motifs to build the index for (each measured separately)",
     )
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        nargs="+",
-        default=[2, 4],
-        help="build_workers counts to measure (each checked bit-identical)",
-    )
     parser.add_argument("--repeats", type=int, default=5, help="min-of-N timing")
     parser.add_argument(
         "--output",
@@ -223,13 +185,10 @@ def main(argv=None) -> int:
         f"|T|={config['targets']} (cpus={report['available_cpus']}):"
     )
     for motif, row in report["motifs"].items():
-        workers = ", ".join(
-            f"w{count}={seconds:.3f}s" for count, seconds in row["workers_seconds"].items()
-        )
         print(
             f"  {motif:>10}: seed {row['seed_seconds']:6.3f}s  "
             f"vectorized {row['vectorized_seconds']:6.3f}s "
-            f"({row['vectorized_speedup']:.2f}x)  {workers}  "
+            f"({row['vectorized_speedup']:.2f}x)  "
             f"identical={row['identical']} trace={row['greedy_trace_agrees']}"
         )
     print(
@@ -237,12 +196,10 @@ def main(argv=None) -> int:
         f"{report['overall_vectorized_speedup']:.2f}x, per-motif min "
         f"{report['min_vectorized_speedup']:.2f}x "
         f"(target >= {report['vectorized_speedup_target']}x overall, "
-        f"met={report['vectorized_speedup_met']}); workers beat serial: "
-        f"{report['workers_beat_serial']} "
-        f"(expected={report['workers_beat_serial_expected']})"
+        f"met={report['vectorized_speedup_met']})"
     )
     print(f"report written to {args.output}")
-    ok = report["parallel_identical"] and report["greedy_traces_agree"]
+    ok = report["builds_identical"] and report["greedy_traces_agree"]
     if not ok:
         print("ERROR: builds disagree — see the report", file=sys.stderr)
     return 0 if ok else 1

@@ -2,25 +2,23 @@
 
 Measures what the session API buys: one ``(graph, targets, motif)`` instance,
 a batch of >= 20 protection queries (every registered method x several
-budgets — the shape of a Fig. 3/4 sweep), executed four ways::
+budgets — the shape of a Fig. 3/4 sweep), executed three ways::
 
     rebuild   legacy pre-service flow: a fresh TPPProblem per query, each
               direct call re-enumerates the target-subgraph index
     shared    one ProtectionService session, solve_many() serially — the
               index is built once, every query runs on a state copy
     thread    solve_many(workers=N) thread fan-out over the shared session
-    process   solve_many(workers=N, mode="process") — the problem (with its
-              built flat-array index) is pickled once per worker
 
 and reports queries/sec for each, the shared-vs-rebuild speedup (acceptance
-target: >= 5x), the process-workers-vs-serial speedup, and whether all four
+target: >= 5x), the thread-workers-vs-serial speedup, and whether all three
 paths produced byte-identical protector traces (the benchmark doubles as a
 differential test and exits non-zero on any disagreement).
 
-The worker fan-out can only win wall-clock when the machine actually has
+The thread fan-out can only win wall-clock when the machine actually has
 cores to fan out to; the report records ``available_cpus`` and the
 ``workers_beat_serial`` flag is expected true only when more than one CPU is
-available (single-core boxes pay IPC overhead for no parallelism).
+available.
 
 Run with::
 
@@ -33,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
 import sys
 import time
 from pathlib import Path
@@ -123,35 +120,16 @@ def run(args: argparse.Namespace) -> dict:
     thread_results = service.solve_many(requests, workers=args.workers)
     thread_seconds = time.perf_counter() - started
 
-    started = time.perf_counter()
-    process_results = service.solve_many(
-        requests, workers=args.workers, mode="process"
-    )
-    process_seconds = time.perf_counter() - started
-
-    # what a process-mode worker pays to inherit the session: one pickle
-    # round trip of the problem with its built flat-array index — no
-    # enumeration, no counter rebuild happens on the worker side
-    started = time.perf_counter()
-    pickle.loads(pickle.dumps(service.problem))
-    process_inherit_seconds = time.perf_counter() - started
-
     def traces(results):
         return [(result.protectors, result.similarity_trace) for result in results]
 
     traces_agree = (
-        traces(rebuild_results)
-        == traces(shared_results)
-        == traces(thread_results)
-        == traces(process_results)
+        traces(rebuild_results) == traces(shared_results) == traces(thread_results)
     )
 
     shared_speedup = rebuild_seconds / shared_seconds if shared_seconds > 0 else float("inf")
-    # workers = whichever fan-out mode the batch does best with (both are
-    # one `workers=` argument away for the caller)
-    workers_seconds = min(thread_seconds, process_seconds)
     workers_speedup = (
-        serial_batch_seconds / workers_seconds if workers_seconds > 0 else float("inf")
+        serial_batch_seconds / thread_seconds if thread_seconds > 0 else float("inf")
     )
     cpus = _available_cpus()
 
@@ -172,14 +150,12 @@ def run(args: argparse.Namespace) -> dict:
         "available_cpus": cpus,
         "index_build_seconds": round(build_seconds, 6),
         # per execution path: what each flow spends (re)building the index —
-        # rebuild pays it once per query, the session once in total, thread
-        # workers share the in-process session, and a process worker inherits
-        # the built arrays through one pickle round trip
+        # rebuild pays it once per query, the session once in total, and
+        # thread workers share the in-process session
         "index_build_seconds_by_path": {
             "rebuild_total": round(rebuild_build_seconds, 6),
             "shared": round(build_seconds, 6),
             "thread": 0.0,
-            "process_worker_inherit": round(process_inherit_seconds, 6),
         },
         "rebuild_seconds": round(rebuild_seconds, 6),
         "rebuild_qps": round(n / rebuild_seconds, 3),
@@ -190,8 +166,7 @@ def run(args: argparse.Namespace) -> dict:
         "shared_speedup_target": SHARED_SPEEDUP_TARGET,
         "shared_speedup_met": shared_speedup >= SHARED_SPEEDUP_TARGET,
         "thread_seconds": round(thread_seconds, 6),
-        "process_seconds": round(process_seconds, 6),
-        "process_qps": round(n / process_seconds, 3),
+        "thread_qps": round(n / thread_seconds, 3),
         "workers_speedup": round(workers_speedup, 2),
         "workers_beat_serial": workers_speedup > 1.0,
         # single-core boxes pay fan-out overhead for no parallelism; the
@@ -245,13 +220,12 @@ def main(argv=None) -> int:
         f"speedup {report['shared_vs_rebuild_speedup']:.2f}x "
         f"(target >= {SHARED_SPEEDUP_TARGET}x, met={report['shared_speedup_met']})"
     )
-    print(f"  thread x{report['config']['workers']}:        {report['thread_seconds']:8.3f}s")
     print(
-        f"  process x{report['config']['workers']}:       {report['process_seconds']:8.3f}s  "
-        f"({report['process_qps']:7.2f} q/s)"
+        f"  thread x{report['config']['workers']}:        {report['thread_seconds']:8.3f}s  "
+        f"({report['thread_qps']:7.2f} q/s)"
     )
     print(
-        f"  best workers vs serial batch ({report['serial_batch_seconds']:.3f}s): "
+        f"  threads vs serial batch ({report['serial_batch_seconds']:.3f}s): "
         f"{report['workers_speedup']:.2f}x "
         f"(beats={report['workers_beat_serial']}, "
         f"expected={report['workers_beat_serial_expected']})"
@@ -259,10 +233,9 @@ def main(argv=None) -> int:
     by_path = report["index_build_seconds_by_path"]
     print(
         f"  index build by path: rebuild total {by_path['rebuild_total']:.3f}s, "
-        f"shared {by_path['shared']:.3f}s, "
-        f"process worker inherit {by_path['process_worker_inherit']:.3f}s"
+        f"shared {by_path['shared']:.3f}s"
     )
-    print(f"  traces agree across all four paths: {report['traces_agree']}")
+    print(f"  traces agree across all three paths: {report['traces_agree']}")
     print(f"report written to {args.output}")
     return 0 if report["traces_agree"] else 1
 

@@ -21,19 +21,8 @@ freshly emitted JSON against the report checked into the repository::
     PYTHONPATH=src python benchmarks/bench_service_http.py --output fresh.json
     python benchmarks/check_bench_regression.py fresh.json BENCH_service_http.json
 
-    PYTHONPATH=src python benchmarks/bench_sharding.py --output fresh.json
-    python benchmarks/check_bench_regression.py fresh.json BENCH_sharding.json
-
 The report kind is read from the committed JSON (``"kind"``; missing means
-the engine-kernel report).  For the sharding report the check fails if any
-of the three identity flags went false in the fresh run —
-``single_shard_identity`` (routed solves bit-identical to unsharded subset
-solves), ``merge_identity`` (scatter-gather merges reproduce the unsharded
-protectors and replayed trace), ``assignment_invariant`` (shard assignment
-unchanged under target permutation and endpoint flips) — if the
-``scatter_speedup`` dropped more than ``--max-regression`` below the
-committed value, or if the ``workers_beat_serial`` flag regressed (with the
-usual single-CPU skip).  For the service-http report the check fails if
+the engine-kernel report).  For the service-http report the check fails if
 the HTTP-served traces stopped matching direct in-process solves, if the
 coalesced duplicate burst stopped returning byte-identical payloads, if the
 coalesce speedup dropped more than ``--max-regression`` below the committed
@@ -49,12 +38,11 @@ traces diverged), if the overall load-vs-build cold-start speedup dropped
 more than ``--max-regression`` below the committed value, or if the
 ``cold_start_speedup_met`` acceptance flag regressed from the committed
 report.  For the index-build report the check fails if
-the builds stopped being bit-identical (or their greedy traces diverged), if
-the overall vectorized-vs-seed build speedup dropped more than
-``--max-regression`` below the committed value, or if an acceptance flag
-that was true in the committed report (``vectorized_speedup_met``,
-``workers_beat_serial``) is no longer met — with the same single-CPU skip
-for ``workers_beat_serial`` as the service report.  For the kernel report
+the vectorized build stopped being bit-identical to the seed build (or
+their greedy traces diverged), if the overall vectorized-vs-seed build
+speedup dropped more than ``--max-regression`` below the committed value,
+or if the ``vectorized_speedup_met`` acceptance flag regressed from the
+committed report.  For the kernel report
 the check fails (exit 1)
 if any method's kernel-vs-set *speedup* dropped by more than
 ``--max-regression`` (default 30%, absorbing CI machine noise), if a method
@@ -111,10 +99,10 @@ def _check_flags(fresh: dict, committed: dict, flags) -> list:
 def compare_index_build(fresh: dict, committed: dict, max_regression: float) -> list:
     """Return the failure list for an ``index_build`` report pair."""
     failures = []
-    if not fresh.get("parallel_identical", False):
+    if not fresh.get("builds_identical", False):
         failures.append(
-            "fresh run: parallel/vectorized builds are no longer bit-identical "
-            "to the seed build"
+            "fresh run: vectorized builds are no longer bit-identical to the "
+            "seed build"
         )
     if not fresh.get("greedy_traces_agree", False):
         failures.append(
@@ -129,11 +117,7 @@ def compare_index_build(fresh: dict, committed: dict, max_regression: float) -> 
             f"{max_regression:.0%} below the committed {committed_speedup:.2f}x "
             f"(floor {floor:.2f}x)"
         )
-    failures.extend(
-        _check_flags(
-            fresh, committed, ("vectorized_speedup_met", "workers_beat_serial")
-        )
-    )
+    failures.extend(_check_flags(fresh, committed, ("vectorized_speedup_met",)))
     return failures
 
 
@@ -212,37 +196,6 @@ def compare_service(fresh: dict, committed: dict, max_regression: float) -> list
     return failures
 
 
-def compare_sharding(fresh: dict, committed: dict, max_regression: float) -> list:
-    """Return the failure list for a ``sharding`` report pair."""
-    failures = []
-    if not fresh.get("single_shard_identity", False):
-        failures.append(
-            "fresh run: single-shard routed solves are no longer "
-            "bit-identical to unsharded subset solves"
-        )
-    if not fresh.get("merge_identity", False):
-        failures.append(
-            "fresh run: scatter-gather merges no longer reproduce the "
-            "unsharded session's protectors and replayed trace"
-        )
-    if not fresh.get("assignment_invariant", False):
-        failures.append(
-            "fresh run: shard assignment is no longer invariant under "
-            "target permutation and endpoint flips"
-        )
-    committed_speedup = committed.get("scatter_speedup", 0.0)
-    fresh_speedup = fresh.get("scatter_speedup", 0.0)
-    floor = committed_speedup * (1.0 - max_regression)
-    if fresh_speedup < floor:
-        failures.append(
-            f"scatter_speedup {fresh_speedup:.2f}x fell more than "
-            f"{max_regression:.0%} below the committed {committed_speedup:.2f}x "
-            f"(floor {floor:.2f}x)"
-        )
-    failures.extend(_check_flags(fresh, committed, ("workers_beat_serial",)))
-    return failures
-
-
 def compare_service_http(fresh: dict, committed: dict, max_regression: float) -> list:
     """Return the failure list for a ``service_http`` report pair."""
     failures = []
@@ -279,8 +232,6 @@ def compare(fresh: dict, committed: dict, max_regression: float) -> list:
         return compare_service(fresh, committed, max_regression)
     if committed.get("kind") == "service_http":
         return compare_service_http(fresh, committed, max_regression)
-    if committed.get("kind") == "sharding":
-        return compare_sharding(fresh, committed, max_regression)
     if committed.get("kind") == "index_build":
         return compare_index_build(fresh, committed, max_regression)
     if committed.get("kind") == "snapshot":
@@ -401,7 +352,7 @@ def main(argv=None) -> int:
             f"overall_vectorized_speedup: committed "
             f"{committed.get('overall_vectorized_speedup')}x, fresh "
             f"{fresh.get('overall_vectorized_speedup')}x; bit-identical builds: "
-            f"{fresh.get('parallel_identical')}; greedy traces agree: "
+            f"{fresh.get('builds_identical')}; greedy traces agree: "
             f"{fresh.get('greedy_traces_agree')}"
         )
     elif committed.get("kind") == "index_update":
@@ -419,14 +370,6 @@ def main(argv=None) -> int:
             f"{fresh.get('shared_vs_rebuild_speedup')}x; workers_speedup: "
             f"committed {committed.get('workers_speedup')}x, fresh "
             f"{fresh.get('workers_speedup')}x"
-        )
-    elif committed.get("kind") == "sharding":
-        print(
-            f"scatter_speedup: committed {committed.get('scatter_speedup')}x, "
-            f"fresh {fresh.get('scatter_speedup')}x; identities — single "
-            f"shard: {fresh.get('single_shard_identity')}, merge: "
-            f"{fresh.get('merge_identity')}, assignment: "
-            f"{fresh.get('assignment_invariant')}"
         )
     elif committed.get("kind") == "service_http":
         print(

@@ -85,13 +85,7 @@ from repro.experiments.utility_loss import UtilityLossTable
 from repro.graphs.io import write_edge_list
 from repro._native import KERNEL_NAMES
 from repro.motifs.base import available_motifs
-from repro.service import (
-    ProtectionRequest,
-    ProtectionService,
-    ShardedProtectionService,
-    method_names,
-    shards_from_env,
-)
+from repro.service import ProtectionRequest, ProtectionService, method_names
 from repro.utility.loss import compare_graphs
 
 __all__ = ["main", "build_parser"]
@@ -150,20 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="fan a multi-budget sweep out over this many workers",
-    )
-    protect.add_argument(
-        "--parallel-mode",
-        default="thread",
-        choices=("thread", "process"),
-        help="worker kind for --workers > 1 (process pickles the index once per worker)",
-    )
-    protect.add_argument(
-        "--build-workers",
-        type=int,
-        default=1,
-        help="fan the index build (per-target enumeration) out over this "
-        "many worker processes; the index is bit-identical for every count",
+        help="fan a multi-budget sweep out over this many threads",
     )
     protect.add_argument(
         "--index-file",
@@ -214,12 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="target-sampling seed (use the same seed as the later protect "
         "run so both describe the same instance)",
-    )
-    build_index.add_argument(
-        "--build-workers",
-        type=int,
-        default=1,
-        help="fan the enumeration out over this many worker processes",
     )
     build_index.add_argument(
         "--output",
@@ -308,25 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
         "bundle (*.tppsess); --dataset/--edge-list/--targets/--motif are ignored",
     )
     serve.add_argument(
-        "--build-workers",
-        type=int,
-        default=1,
-        help="fan the index build out over this many worker processes",
-    )
-    serve.add_argument(
         "--kernel",
         default="auto",
         choices=KERNEL_NAMES,
         help="coverage-state hot-loop kernel for the served session "
         "('auto' / 'native' / 'numpy'; bit-identical results either way)",
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="partition the targets across this many shard sub-sessions and "
-        "serve them scatter-gather (defaults to $REPRO_SHARDS, else 1); "
-        "sharded bundles (*.tppshards) always restore their own layout",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
@@ -392,13 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help=f"fan-out for the sweep experiments ({', '.join(_PARALLEL_EXPERIMENTS)})",
     )
-    experiment.add_argument(
-        "--build-workers",
-        type=int,
-        default=1,
-        help="fan each session's index build out over this many worker "
-        f"processes ({', '.join(_PARALLEL_EXPERIMENTS)})",
-    )
     experiment.add_argument("--json", help="also save the result as JSON to this path")
 
     return parser
@@ -426,9 +380,7 @@ def _load_instance(args: argparse.Namespace):
 
 def _command_protect(args: argparse.Namespace) -> int:
     if args.index_file:
-        service = ProtectionService.from_snapshot(
-            args.index_file, build_workers=args.build_workers, kernel=args.kernel
-        )
+        service = ProtectionService.from_snapshot(args.index_file, kernel=args.kernel)
         print(
             f"session cold-started from {args.index_file} "
             f"(motif {service.problem.motif.name}, "
@@ -438,19 +390,13 @@ def _command_protect(args: argparse.Namespace) -> int:
     else:
         graph, targets = _load_instance(args)
         service = ProtectionService(
-            graph,
-            targets,
-            motif=args.motif,
-            build_workers=args.build_workers,
-            kernel=args.kernel,
+            graph, targets, motif=args.motif, kernel=args.kernel
         )
     requests = [
         ProtectionRequest(args.method, budget, engine=args.engine, seed=args.seed)
         for budget in args.budget
     ]
-    results = service.solve_many(
-        requests, workers=args.workers, mode=args.parallel_mode
-    )
+    results = service.solve_many(requests, workers=args.workers)
 
     problem = service.problem
     for result in results:
@@ -486,7 +432,7 @@ def _command_build_index(args: argparse.Namespace) -> int:
     graph, targets = _load_instance(args)
     problem = TPPProblem(graph, targets, motif=args.motif)
     stopwatch_start = time.perf_counter()
-    path = problem.save_index(args.output, build_workers=args.build_workers)
+    path = problem.save_index(args.output)
     elapsed = time.perf_counter() - stopwatch_start
     index = problem.build_index()  # cached — returns the just-built index
     size = path.stat().st_size
@@ -610,94 +556,24 @@ def _command_verify_index(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _bundle_is_sharded(path: str) -> bool:
-    """Whether a zip bundle's manifest declares a sharded session."""
-    import json
-    import zipfile
-
-    try:
-        with zipfile.ZipFile(path) as archive:
-            manifest = json.loads(archive.read("manifest.json").decode("utf-8"))
-    except (KeyError, ValueError, OSError):
-        return False
-    return isinstance(manifest, dict) and manifest.get("kind") == "sharded-session"
-
-
-def _serve_session(args: argparse.Namespace):
+def _serve_session(args: argparse.Namespace) -> ProtectionService:
     """Open the session ``repro-tpp serve`` will put behind HTTP."""
     import zipfile
 
-    shards = args.shards if args.shards is not None else shards_from_env()
     if args.index_file:
         if zipfile.is_zipfile(args.index_file):
-            if _bundle_is_sharded(args.index_file):
-                sharded = ShardedProtectionService.from_session(
-                    args.index_file,
-                    build_workers=args.build_workers,
-                    kernel=args.kernel,
-                )
-                print(
-                    f"sharded session cold-started from bundle "
-                    f"{args.index_file} ({sharded.shard_count} shard(s), "
-                    f"{len(sharded.targets)} targets)"
-                )
-                return sharded
-            service = ProtectionService.from_session(
-                args.index_file,
-                build_workers=args.build_workers,
-                kernel=args.kernel,
-            )
+            service = ProtectionService.from_session(args.index_file, kernel=args.kernel)
             print(
                 f"session cold-started from bundle {args.index_file} "
                 f"({len(service.cached_subset_sessions())} subset "
                 "sub-session(s) restored)"
             )
         else:
-            service = ProtectionService.from_snapshot(
-                args.index_file,
-                build_workers=args.build_workers,
-                kernel=args.kernel,
-            )
+            service = ProtectionService.from_snapshot(args.index_file, kernel=args.kernel)
             print(f"session cold-started from {args.index_file}")
-        if shards > 1:
-            # a plain snapshot holds one combined index; dealing its
-            # targets into shards re-enumerates each shard's sub-index
-            print(
-                f"re-sharding the restored session into {shards} shard(s) "
-                "(per-shard indexes are rebuilt; serve a *.tppshards "
-                "bundle to cold-start a sharded layout directly)"
-            )
-            sharded = ShardedProtectionService(
-                service.problem,
-                shards=shards,
-                build_workers=args.build_workers,
-                kernel=args.kernel,
-            )
-            return sharded
         return service
     graph, targets = _load_instance(args)
-    if shards > 1:
-        sharded = ShardedProtectionService(
-            graph,
-            targets,
-            motif=args.motif,
-            shards=shards,
-            build_workers=args.build_workers,
-            kernel=args.kernel,
-        )
-        print(
-            f"sharded session built: {graph.number_of_nodes()} nodes, "
-            f"{len(targets)} targets over {sharded.shard_count} shard(s), "
-            f"motif {args.motif} ({sharded.build_seconds:.3f}s)"
-        )
-        return sharded
-    service = ProtectionService(
-        graph,
-        targets,
-        motif=args.motif,
-        build_workers=args.build_workers,
-        kernel=args.kernel,
-    )
+    service = ProtectionService(graph, targets, motif=args.motif, kernel=args.kernel)
     print(
         f"session built: {graph.number_of_nodes()} nodes, "
         f"{len(targets)} targets, motif {args.motif} "
@@ -795,18 +671,12 @@ def _command_publish(args: argparse.Namespace) -> int:
 
 def _command_experiment(args: argparse.Namespace) -> int:
     runner = EXPERIMENT_RUNNERS[args.name]
-    if args.name in _PARALLEL_EXPERIMENTS and (
-        args.workers > 1 or args.build_workers > 1
-    ):
-        results = runner(
-            scale=args.scale,
-            workers=args.workers,
-            build_workers=args.build_workers,
-        )
+    if args.name in _PARALLEL_EXPERIMENTS and args.workers > 1:
+        results = runner(scale=args.scale, workers=args.workers)
     else:
-        if args.workers > 1 or args.build_workers > 1:
+        if args.workers > 1:
             print(
-                f"note: --workers/--build-workers only apply to "
+                f"note: --workers only applies to "
                 f"{', '.join(_PARALLEL_EXPERIMENTS)}; running {args.name} serially",
                 file=sys.stderr,
             )

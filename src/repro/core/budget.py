@@ -27,7 +27,6 @@ from repro.graphs.graph import Edge, canonical_edge
 __all__ = [
     "BudgetDivision",
     "BudgetUnderAllocationWarning",
-    "proportional_allocation",
     "target_subgraph_budget_division",
     "degree_product_budget_division",
     "uniform_budget_division",
@@ -97,25 +96,6 @@ def _proportional_allocation(
                 allocation[target] += 1
                 remaining -= 1
     return allocation
-
-
-def proportional_allocation(
-    weights: Mapping[Edge, float],
-    caps: Mapping[Edge, int],
-    budget: int,
-) -> BudgetDivision:
-    """Public entry to the largest-remainder apportionment.
-
-    The same deterministic allocator the TBD/DBD/uniform strategies are
-    built on, exposed for callers that split a budget over *groups* of
-    targets rather than a problem's own target set — notably the
-    cross-shard budget split in :mod:`repro.service.sharding`, which
-    apportions a request's budget over the requested targets by initial
-    similarity and then sums each shard's share.  Deterministic given the
-    iteration order of ``weights``; allocates exactly
-    ``min(budget, sum(caps))`` units.
-    """
-    return _proportional_allocation(weights, caps, budget)
 
 
 def target_subgraph_budget_division(problem: TPPProblem, budget: int) -> BudgetDivision:

@@ -101,29 +101,22 @@ class TPPProblem:
         self._constant = constant
 
     @classmethod
-    def _from_parts(
-        cls,
-        index: TargetSubgraphIndex,
-        constant: int,
-        graph: Optional[Graph] = None,
-        phase1_graph: Optional[Graph] = None,
-    ) -> "TPPProblem":
+    def _from_parts(cls, index: TargetSubgraphIndex, constant: int) -> "TPPProblem":
         """Assemble a problem around a built index, skipping ``__init__``.
 
         The shared constructor of every derived problem (snapshot restore,
-        delta update, constant rebase, target restriction).  Targets and
-        motif come from ``index``; the caller vouches that ``constant`` is
-        at least the index's initial similarity.  ``graph`` /
-        ``phase1_graph`` default to ``None`` — the ``graph`` and
-        ``phase1_graph`` properties then materialise them from the index's
+        delta update, target restriction).  Targets and motif come from
+        ``index``; the caller vouches that ``constant`` is at least the
+        index's initial similarity.  The ``graph`` and ``phase1_graph``
+        properties materialise their views from the index's
         :class:`~repro.graphs.indexed.IndexedGraph` on first access, so
         serving from the kernel never pays for them.
         """
         problem = cls.__new__(cls)
-        problem._graph = graph
+        problem._graph = None
         problem._motif = index.motif
         problem._targets = index.targets
-        problem._phase1_graph = phase1_graph
+        problem._phase1_graph = None
         problem._index = index
         problem._constant = constant
         return problem
@@ -175,30 +168,19 @@ class TPPProblem:
         """Return the targets as a frozen set of canonical edges."""
         return frozenset(self._targets)
 
-    def build_index(
-        self, build_workers: Optional[int] = None
-    ) -> TargetSubgraphIndex:
-        """Return (and cache) the target-subgraph index on the phase-1 graph.
-
-        ``build_workers > 1`` fans the per-target enumeration out over that
-        many worker processes (bit-identical result for every worker count);
-        it only applies to the build that actually runs — a cached index is
-        returned as-is.
-        """
+    def build_index(self) -> TargetSubgraphIndex:
+        """Return (and cache) the target-subgraph index on the phase-1 graph."""
         if self._index is None:
             self._index = TargetSubgraphIndex(
-                self._phase1_graph,
-                self._targets,
-                self._motif,
-                build_workers=build_workers,
+                self._phase1_graph, self._targets, self._motif
             )
         return self._index
 
     def adopt_index(self, index: TargetSubgraphIndex) -> TargetSubgraphIndex:
         """Adopt a prebuilt target-subgraph index as this problem's cache.
 
-        Lets callers that built an index out-of-band (a parallel build, a
-        deserialised snapshot, the build benchmark) serve this problem from
+        Lets callers that built an index out-of-band (a deserialised
+        snapshot, the build benchmark) serve this problem from
         it without re-enumerating.  The index must have been built for this
         problem's targets and motif on its phase-1 graph; targets, motif and
         graph size are validated, the graph contents are the caller's
@@ -220,15 +202,10 @@ class TPPProblem:
         self._index = index
         return index
 
-    def save_index(
-        self,
-        path: Union[str, "Path"],
-        build_workers: Optional[int] = None,
-    ) -> "Path":
+    def save_index(self, path: Union[str, "Path"]) -> "Path":
         """Persist this problem's built index as a snapshot file.
 
-        Builds the index first if it is not cached yet (``build_workers``
-        fans that build out, exactly like :meth:`build_index`), then writes
+        Builds the index first if it is not cached yet, then writes
         a versioned snapshot — flat arrays, motif identity, targets,
         constant ``C`` and content hash — that
         :meth:`from_snapshot` / :meth:`ProtectionService.from_snapshot
@@ -239,8 +216,6 @@ class TPPProblem:
         ----------
         path:
             Destination snapshot file (conventionally ``*.tppsnap``).
-        build_workers:
-            Worker-process fan-out for the build, if one still has to run.
 
         Returns
         -------
@@ -249,8 +224,7 @@ class TPPProblem:
         """
         from repro.persistence.snapshot import save_snapshot
 
-        index = self.build_index(build_workers=build_workers)
-        return save_snapshot(path, index, self._constant)
+        return save_snapshot(path, self.build_index(), self._constant)
 
     @classmethod
     def from_snapshot(
@@ -334,40 +308,6 @@ class TPPProblem:
                 f"similarity {initial}"
             )
         return self._from_parts(outcome.index, constant), outcome
-
-    def with_constant(self, constant: int) -> "TPPProblem":
-        """Return this problem with the dissimilarity constant rebased.
-
-        The graph, targets, motif and (already built) index are shared with
-        this problem — nothing is re-enumerated; only ``C`` changes.  This
-        is what keeps a sharded session's shards on one common ``C``:
-        after a delta raises some shard's initial similarity, every shard
-        is rebased to the new combined constant so per-shard dissimilarity
-        traces still sum to the whole session's (see
-        :mod:`repro.service.sharding`).
-
-        Raises
-        ------
-        ConstantError
-            If ``constant`` is below this problem's initial similarity
-            (``f(∅, T)`` would go negative).
-        """
-        from repro.exceptions import ConstantError
-
-        initial = self.initial_similarity()
-        if constant < initial:
-            raise ConstantError(
-                f"constant C={constant} must be >= the initial similarity "
-                f"{initial}"
-            )
-        if constant == self._constant:
-            return self
-        return self._from_parts(
-            self.build_index(),
-            constant,
-            graph=self._graph,
-            phase1_graph=self._phase1_graph,
-        )
 
     def restricted_to(self, targets: Sequence[Edge]) -> "TPPProblem":
         """Return the problem on the target subset ``targets`` — no enumeration.

@@ -7,7 +7,7 @@ swallowing programming errors such as ``TypeError``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 class ReproError(Exception):
@@ -217,19 +217,3 @@ class ArtifactNotFoundError(ServerError, KeyError):
 
 class ExperimentError(ReproError):
     """Base class for experiment-harness errors."""
-
-
-class ShardError(ExperimentError):
-    """A sharded session could not be configured or answer atomically.
-
-    Raised by :class:`~repro.service.sharding.ShardedProtectionService`
-    when the shard layout is invalid (``shards < 1``, duplicate targets,
-    inconsistent restored shards) or when any shard fails mid
-    scatter-gather — the whole request fails with this error and no
-    partial merge is ever returned.  ``shard`` names the failing shard
-    index when one is known (``None`` for layout errors).
-    """
-
-    def __init__(self, message: str, shard: Optional[int] = None) -> None:
-        super().__init__(message)
-        self.shard = shard

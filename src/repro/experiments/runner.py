@@ -86,14 +86,12 @@ def run_figure3(
     scale: str = "quick",
     motifs: Optional[Sequence[str]] = None,
     workers: Optional[int] = None,
-    build_workers: Optional[int] = None,
 ) -> List[SimilarityEvolution]:
     """Fig. 3: target-subgraph count vs budget on the Arenas-email graph.
 
     |T| = 20, all seven methods, budgets swept up to full protection, one
     result per motif (Triangle, Rectangle, RecTri).  ``workers`` fans each
-    repetition's method x budget sweep out over a shared-index session;
-    ``build_workers`` fans each session's index build over processes.
+    repetition's method x budget sweep out over a shared-index session.
     """
     _check_scale(scale)
     config = _arenas_config(scale, num_targets=20)
@@ -101,9 +99,7 @@ def run_figure3(
         config = config.with_overrides(motifs=tuple(motifs))
     graph = load_dataset(config.dataset, **config.dataset_options())
     return [
-        run_similarity_evolution(
-            config, motif, graph=graph, workers=workers, build_workers=build_workers
-        )
+        run_similarity_evolution(config, motif, graph=graph, workers=workers)
         for motif in config.motifs
     ]
 
@@ -112,15 +108,13 @@ def run_figure4(
     scale: str = "quick",
     motifs: Optional[Sequence[str]] = None,
     workers: Optional[int] = None,
-    build_workers: Optional[int] = None,
 ) -> List[SimilarityEvolution]:
     """Fig. 4: target-subgraph count vs budget on the DBLP-scale graph.
 
     |T| = 50 and budgets 1..100 in the paper; the scalable (coverage-engine)
     implementations are used because the naive ones do not terminate at this
     scale.  ``workers`` fans each repetition's sweep out over a shared-index
-    session; ``build_workers`` fans each session's index build — the wall
-    that dominates a DBLP-scale run — over worker processes.
+    session.
     """
     _check_scale(scale)
     config = _dblp_config(scale, num_targets=50)
@@ -135,7 +129,6 @@ def run_figure4(
             graph=graph,
             budgets=budgets,
             workers=workers,
-            build_workers=build_workers,
         )
         for motif in config.motifs
     ]

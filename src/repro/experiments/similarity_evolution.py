@@ -122,7 +122,6 @@ def run_similarity_evolution(
     graph: Optional[Graph] = None,
     budgets: Optional[Sequence[int]] = None,
     workers: Optional[int] = None,
-    build_workers: Optional[int] = None,
 ) -> SimilarityEvolution:
     """Run the Fig. 3 / Fig. 4 experiment for one motif.
 
@@ -142,10 +141,6 @@ def run_similarity_evolution(
         Optional thread fan-out for each repetition's request batch (one
         :class:`~repro.service.ProtectionService` session per sampled
         instance; results are independent of the worker count).
-    build_workers:
-        Optional process fan-out for each session's index build (pass-1
-        enumeration); the built index — and therefore every curve — is
-        bit-identical for every worker count.
     """
     if graph is None:
         graph = load_dataset(config.dataset, **config.dataset_options())
@@ -162,9 +157,7 @@ def run_similarity_evolution(
     for repetition in range(config.repetitions):
         seed = config.seed + repetition
         targets = sample_random_targets(graph, config.num_targets, seed=seed)
-        session = ProtectionService(
-            TPPProblem(graph, targets, motif=motif), build_workers=build_workers
-        )
+        session = ProtectionService(TPPProblem(graph, targets, motif=motif))
         sessions.append(session)
         initial_similarities.append(session.pristine_similarity())
 

@@ -44,24 +44,14 @@ built-in motifs intersect integer adjacency rows instead of hashing node
 tuples; custom motifs fall back to the tuple-based
 ``enumerate_instances`` transparently.
 
-Construction is built for speed on two axes:
-
-* **Vectorised assembly** — pass 1 only collects flat buffers (membership
-  edge ids, per-instance arities, per-target instance counts); the inverse
-  CSR, the per-(edge, target) counter matrix and the slot table are then
-  assembled with numpy counting sorts (``np.argsort``/``np.bincount``/
-  ``np.cumsum``) instead of element-wise Python loops.  The seed's loops are
-  retained behind ``assembly="python"`` as the executable reference — both
-  paths produce byte-identical arrays (pinned by
-  ``tests/property/test_index_build_equivalence.py``).
-* **Parallel pass 1** — ``build_workers=N`` fans the per-target enumeration
-  (embarrassingly parallel: every target's instances are independent) out
-  over a process pool.  The frozen ``(IndexedGraph, graph, motif)`` triple is
-  pickled once per worker, each worker enumerates a contiguous chunk of
-  targets through the same dispatcher (so custom tuple-only motifs take the
-  same fallback as the serial path), and the chunk buffers are merged in
-  target order — the resulting index is bit-identical for every worker
-  count.
+Construction is built for speed through **vectorised assembly**: pass 1
+only collects flat buffers (membership edge ids, per-instance arities,
+per-target instance counts); the inverse CSR, the per-(edge, target) counter
+matrix and the slot table are then assembled with numpy counting sorts
+(``np.argsort``/``np.bincount``/``np.cumsum``) instead of element-wise Python
+loops.  The seed's loops are retained behind ``assembly="python"`` as the
+executable reference — both paths produce byte-identical arrays (pinned by
+``tests/property/test_index_build_equivalence.py``).
 
 :class:`SetCoverageState` preserves the previous hash-set implementation as an
 executable reference: the differential tests in
@@ -75,9 +65,7 @@ re-exported here for backwards compatibility.
 
 from __future__ import annotations
 
-import multiprocessing
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -121,7 +109,7 @@ INDEX_ARRAY_FIELDS = (
 
 
 # ----------------------------------------------------------------------
-# pass 1: per-target enumeration into flat buffers (serial + process pool)
+# pass 1: per-target enumeration into flat buffers
 # ----------------------------------------------------------------------
 def _enumerate_buffers(
     indexed: IndexedGraph,
@@ -131,20 +119,18 @@ def _enumerate_buffers(
 ) -> Tuple[array, array, List[int]]:
     """Enumerate ``targets`` into ``(edge ids, arities, per-target counts)``.
 
-    This is the single enumeration dispatcher both the serial and the
-    parallel build go through: built-in motifs walk the CSR rows via
+    This is the single enumeration dispatcher of the build and of the
+    incremental delta maintenance: built-in motifs walk the CSR rows via
     ``enumerate_instance_edge_ids`` (a deterministic id-order walk), custom
     motifs take the tuple-enumeration fallback inherited from
     :class:`~repro.motifs.base.MotifPattern`.
 
     The fallback's generation order follows ``Graph`` adjacency-*set*
     iteration, which is not stable across hash seeds or a pickle round trip
-    (a build worker unpickles the graph) — so for motifs that did not
-    override the id-space enumeration, each target's instances are put in
-    canonical order (ids sorted within an instance, instances sorted within
-    the target).  That makes the built index a pure function of the graph
-    for custom motifs too, and therefore bit-identical for every
-    ``build_workers`` count and start method.
+    — so for motifs that did not override the id-space enumeration, each
+    target's instances are put in canonical order (ids sorted within an
+    instance, instances sorted within the target).  That makes the built
+    index a pure function of the graph for custom motifs too.
     """
     edge_buffer = array("l")
     arity_buffer = array("l")
@@ -169,92 +155,6 @@ def _enumerate_buffers(
     return edge_buffer, arity_buffer, counts
 
 
-#: Per-process enumeration context installed by the pool initializer, so the
-#: (IndexedGraph, graph, motif, targets) payload is pickled once per worker
-#: instead of once per chunk.
-_BUILD_CONTEXT: Optional[Tuple[IndexedGraph, Graph, MotifPattern, Tuple[Edge, ...]]] = None
-
-
-def _build_worker_init(
-    indexed: IndexedGraph,
-    graph: Graph,
-    motif: MotifPattern,
-    targets: Tuple[Edge, ...],
-) -> None:
-    global _BUILD_CONTEXT
-    _BUILD_CONTEXT = (indexed, graph, motif, targets)
-
-
-def _build_worker_chunk(span: Tuple[int, int]) -> Tuple[bytes, bytes, List[int]]:
-    assert _BUILD_CONTEXT is not None, "build worker initializer did not run"
-    indexed, graph, motif, targets = _BUILD_CONTEXT
-    start, stop = span
-    edge_buffer, arity_buffer, counts = _enumerate_buffers(
-        indexed, graph, motif, targets[start:stop]
-    )
-    return edge_buffer.tobytes(), arity_buffer.tobytes(), counts
-
-
-def _chunk_spans(n_targets: int, workers: int) -> List[Tuple[int, int]]:
-    """Split ``range(n_targets)`` into balanced contiguous spans.
-
-    More chunks than workers (4x) keeps the pool busy when per-target costs
-    are skewed; merging in span order keeps the result order-deterministic.
-    """
-    n_chunks = max(1, min(n_targets, workers * 4))
-    base, remainder = divmod(n_targets, n_chunks)
-    spans = []
-    start = 0
-    for chunk in range(n_chunks):
-        stop = start + base + (1 if chunk < remainder else 0)
-        spans.append((start, stop))
-        start = stop
-    return spans
-
-
-def _pool_context():
-    """Return the multiprocessing context for the build pool.
-
-    ``forkserver`` (falling back to ``spawn`` where unavailable): the build
-    can run in a process whose other threads are concurrently serving
-    queries, and plain ``fork`` from a multi-threaded process can clone a
-    held allocator lock into the child and deadlock.  The worker payload
-    already travels by pickle (``initargs``), so nothing relies on fork's
-    memory inheritance.
-    """
-    try:
-        return multiprocessing.get_context("forkserver")
-    except ValueError:  # platform without forkserver (e.g. Windows)
-        return multiprocessing.get_context("spawn")
-
-
-def _enumerate_buffers_parallel(
-    indexed: IndexedGraph,
-    graph: Graph,
-    motif: MotifPattern,
-    targets: Tuple[Edge, ...],
-    workers: int,
-) -> Tuple[array, array, List[int]]:
-    """Fan pass 1 out over a process pool; merge chunk buffers in target order."""
-    spans = _chunk_spans(len(targets), workers)
-    edge_buffer = array("l")
-    arity_buffer = array("l")
-    counts: List[int] = []
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(spans)),
-        mp_context=_pool_context(),
-        initializer=_build_worker_init,
-        initargs=(indexed, graph, motif, targets),
-    ) as executor:
-        for edge_bytes, arity_bytes, chunk_counts in executor.map(
-            _build_worker_chunk, spans
-        ):
-            edge_buffer.frombytes(edge_bytes)
-            arity_buffer.frombytes(arity_bytes)
-            counts.extend(chunk_counts)
-    return edge_buffer, arity_buffer, counts
-
-
 class TargetSubgraphIndex:
     """Immutable enumeration of all target subgraphs ``W`` for a target set.
 
@@ -266,13 +166,6 @@ class TargetSubgraphIndex:
         The hidden target links.
     motif:
         The subgraph pattern (name or :class:`MotifPattern`).
-    build_workers:
-        ``None``/``0``/``1`` enumerates serially; ``N > 1`` fans the
-        per-target enumeration (pass 1) out over ``N`` worker processes.
-        The result is bit-identical for every worker count.  Parallelism
-        pays once the enumeration itself (roughly ``|T| x`` the motif cost
-        per target) outweighs pickling the graph snapshot to each worker —
-        as a rule of thumb, tens of targets on a >= 10k-edge graph.
     assembly:
         ``"numpy"`` (default) assembles the flat arrays with vectorised
         counting sorts; ``"python"`` runs the seed's element-wise loops.
@@ -294,7 +187,6 @@ class TargetSubgraphIndex:
         graph: Graph,
         targets: Sequence[Edge],
         motif: Union[str, MotifPattern],
-        build_workers: Optional[int] = None,
         assembly: str = "numpy",
     ) -> None:
         if assembly not in ASSEMBLY_MODES:
@@ -324,19 +216,11 @@ class TargetSubgraphIndex:
         # lookups), custom motifs fall back to tuple enumeration translated
         # once at this boundary (the kernel never hashes tuples afterwards).
         # Only flat buffers are collected (membership edge ids, per-instance
-        # arities, per-target counts); with build_workers > 1 the per-target
-        # work fans out over a process pool and the chunk buffers are merged
-        # in target order, so the buffers are identical to a serial run.
+        # arities, per-target counts).
         # ------------------------------------------------------------------
-        workers = int(build_workers) if build_workers else 0
-        if workers > 1 and len(self._targets) > 1:
-            edge_buffer, arity_buffer, counts = _enumerate_buffers_parallel(
-                indexed, graph, self._motif, self._targets, workers
-            )
-        else:
-            edge_buffer, arity_buffer, counts = _enumerate_buffers(
-                indexed, graph, self._motif, self._targets
-            )
+        edge_buffer, arity_buffer, counts = _enumerate_buffers(
+            indexed, graph, self._motif, self._targets
+        )
 
         # per-target contiguous instance-id ranges (python ints, API-facing)
         ranges: List[Tuple[int, int]] = []
@@ -658,7 +542,7 @@ class TargetSubgraphIndex:
 
     def __getstate__(self) -> Dict[str, object]:
         # the lazy edge -> instances dict can dwarf the flat arrays; rebuild
-        # it on demand on the other side instead of shipping it to workers
+        # it on demand on the other side instead of pickling it
         state = self.__dict__.copy()
         state["_edge_to_instances"] = None
         return state

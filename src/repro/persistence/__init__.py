@@ -42,13 +42,6 @@ from repro.persistence.session import (
     load_session,
     save_session,
 )
-from repro.persistence.shards import (
-    SHARDED_SESSION_SUFFIX,
-    SHARDED_SESSION_VERSION,
-    combined_content_hash,
-    load_sharded_session,
-    save_sharded_session,
-)
 from repro.persistence.snapshot import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
@@ -77,9 +70,4 @@ __all__ = [
     "SESSION_VERSION",
     "save_session",
     "load_session",
-    "SHARDED_SESSION_SUFFIX",
-    "SHARDED_SESSION_VERSION",
-    "combined_content_hash",
-    "save_sharded_session",
-    "load_sharded_session",
 ]

@@ -180,10 +180,8 @@ class DeltaSnapshot:
 def _state_hash(state: Union[TargetSubgraphIndex, str]) -> str:
     """A content hash from either a built index or a pre-computed hash.
 
-    Sharded sessions identify their state by a *combined* hash chained
-    over every shard (:func:`repro.persistence.combined_content_hash`);
-    passing that string through here lets one delta file target either
-    kind of session.
+    Writers that already know a state's content hash (for example the one
+    a server published) pass it straight through instead of the index.
     """
     if isinstance(state, str):
         return state
@@ -207,9 +205,7 @@ def save_delta_snapshot(
         The ordered edge updates.
     parent_index:
         The built index the delta applies to (its content hash names the
-        required base state), or that state's content hash directly — a
-        sharded session's parent state is its *combined* hash, which has
-        no single index to hand over.
+        required base state), or that state's content hash directly.
     result_index:
         The index after application — normally
         ``parent_index.apply_delta(delta).index`` — whose content hash lets

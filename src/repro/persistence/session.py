@@ -176,7 +176,6 @@ def load_session(
     path: Union[str, Path],
     allow_pickle: bool = True,
     max_cached_subsets: Optional[int] = 32,
-    build_workers: Optional[int] = None,
     kernel: Optional[str] = None,
 ) -> "ProtectionService":
     """Restore a session bundle written by :func:`save_session`.
@@ -199,9 +198,6 @@ def load_session(
         LRU bound of the restored session.  When the bundle holds more
         sub-sessions than the bound, only the most recently used ones
         survive (same eviction rule as a live session).
-    build_workers:
-        As in the :class:`~repro.service.ProtectionService` constructor;
-        only later subset builds can trigger it.
     kernel:
         As in the :class:`~repro.service.ProtectionService` constructor
         (bundles store arrays, not a kernel choice; the restored session
@@ -248,10 +244,7 @@ def load_session(
                     "with or assembled from mismatched files"
                 )
             service = ProtectionService(
-                parent_problem,
-                max_cached_subsets=max_cached_subsets,
-                build_workers=build_workers,
-                kernel=kernel,
+                parent_problem, max_cached_subsets=max_cached_subsets, kernel=kernel
             )
             service._index_source = "snapshot"
             known = set(service.targets)
@@ -265,10 +258,7 @@ def load_session(
                         "are not a subset of the parent session's targets"
                     )
                 subsession = ProtectionService(
-                    sub_problem,
-                    max_cached_subsets=max_cached_subsets,
-                    build_workers=build_workers,
-                    kernel=kernel,
+                    sub_problem, max_cached_subsets=max_cached_subsets, kernel=kernel
                 )
                 subsession._index_source = "snapshot"
                 service._adopt_subsession(subsession)

@@ -41,7 +41,6 @@ same result payload.
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 import time
 import zipfile
@@ -68,46 +67,9 @@ from repro.server.protocol import (
     read_request,
     response_bytes,
 )
-from repro.service import (
-    ProtectionRequest,
-    ProtectionService,
-    ShardedProtectionService,
-)
+from repro.service import ProtectionRequest, ProtectionService
 
 __all__ = ["ProtectionServer", "ServerHandle", "serve_in_background"]
-
-#: Anything the server can put behind the HTTP front: the sharded session
-#: serves the same solve/stats/reload surface as the plain one.
-ServiceLike = Union[ProtectionService, ShardedProtectionService]
-
-
-def _service_content_hash(service: ServiceLike) -> str:
-    """A session's content hash, however the session computes it.
-
-    The sharded service hashes its whole shard layout (and caches the
-    result itself); the plain service's hash comes off its single index.
-    """
-    if isinstance(service, ShardedProtectionService):
-        return service.content_hash()
-    return index_content_hash(service.index)
-
-
-def _service_instances(service: ServiceLike) -> int:
-    """Total enumerated motif instances behind a session."""
-    if isinstance(service, ShardedProtectionService):
-        return service.number_of_instances()
-    return service.index.number_of_instances()
-
-
-def _bundle_kind(path: Path) -> str:
-    """Peek a zip bundle's manifest ``kind`` (defaults to ``"session"``)."""
-    try:
-        with zipfile.ZipFile(path) as archive:
-            manifest = json.loads(archive.read("manifest.json").decode("utf-8"))
-        kind = manifest.get("kind") if isinstance(manifest, dict) else None
-    except (KeyError, ValueError, OSError):
-        return "session"
-    return kind if isinstance(kind, str) else "session"
 
 
 #: How long a graceful stop waits for queued solves before cancelling.
@@ -142,7 +104,7 @@ class ProtectionServer:
 
     def __init__(
         self,
-        service: ServiceLike,
+        service: ProtectionService,
         store: Optional[ArtifactStore] = None,
         max_pending: int = 64,
         solver_threads: int = 4,
@@ -182,27 +144,21 @@ class ProtectionServer:
     # ------------------------------------------------------------------
     # the live session
     # ------------------------------------------------------------------
-    def current_service(self) -> ServiceLike:
+    def current_service(self) -> ProtectionService:
         """The session queries are being admitted to right now."""
         with self._lock:
             return self._service
 
     def content_hash(self) -> str:
-        """The live session's content hash (cached per index identity).
-
-        A sharded session has no single index to key the cache on — it
-        caches its combined hash itself (invalidated by its own
-        ``apply_delta``), so the server just asks it every time.
-        """
+        """The live session's content hash (cached per index identity)."""
         with self._lock:
-            service = self._service
-            index = getattr(service, "index", None)
-            if index is not None and self._hashed_index is index:
+            index = self._service.index
+            if self._hashed_index is index:
                 return self._content_hash
         # hash outside the lock (touches the index arrays), then publish
-        fresh = _service_content_hash(service)
+        fresh = index_content_hash(index)
         with self._lock:
-            if index is not None and getattr(self._service, "index", None) is index:
+            if self._service.index is index:
                 self._hashed_index = index
                 self._content_hash = fresh
         return fresh
@@ -230,26 +186,18 @@ class ProtectionServer:
         :class:`~repro.exceptions.SnapshotMismatchError` and leaves the
         live session untouched).  Anything else loads as a session bundle
         (zip) or a plain index snapshot and replaces the session
-        atomically — queries already in flight finish on the old one.
+        atomically — queries already in flight finish on the old one.  A
+        bundle of any other kind (such as a ``sharded-session`` bundle)
+        raises :class:`~repro.exceptions.SnapshotFormatError`.
         """
         path = Path(path)
         head = path.read_bytes()[:12] if path.exists() else b""
         if head == b"REPROTPPDLTA":
             snapshot = load_delta_snapshot(path)
-            service = self.current_service()
-            outcome = service.apply_delta(snapshot)
-            payload = self._reloaded("delta-applied")
-            touched = getattr(outcome, "touched_shards", None)
-            if touched is not None:
-                # shard-aware reload: name the shards whose instance sets
-                # the delta actually changed (the others only spliced edges)
-                payload["touched_shards"] = list(touched)
-            return payload
+            self.current_service().apply_delta(snapshot)
+            return self._reloaded("delta-applied")
         if zipfile.is_zipfile(path):
-            if _bundle_kind(path) == "sharded-session":
-                fresh: ServiceLike = ShardedProtectionService.from_session(path)
-            else:
-                fresh = ProtectionService.from_session(path)
+            fresh = ProtectionService.from_session(path)
         else:
             fresh = ProtectionService.from_snapshot(path)
         return self._install(fresh)
@@ -312,7 +260,7 @@ class ProtectionServer:
             )
         return self.store
 
-    def _install(self, fresh: ServiceLike) -> Dict[str, object]:
+    def _install(self, fresh: ProtectionService) -> Dict[str, object]:
         with self._lock:
             self._service = fresh
             self._hashed_index = None
@@ -327,7 +275,7 @@ class ProtectionServer:
                 self._content_hash = ""
                 self._reloads += 1
         service = self.current_service()
-        payload: Dict[str, object] = {
+        return {
             "status": "reloaded",
             "action": action,
             "content_hash": self.content_hash(),
@@ -335,9 +283,6 @@ class ProtectionServer:
             "deltas_applied": service.deltas_applied,
             "targets": len(service.targets),
         }
-        if isinstance(service, ShardedProtectionService):
-            payload["shards"] = service.shard_count
-        return payload
 
     # ------------------------------------------------------------------
     # stats
@@ -356,22 +301,19 @@ class ProtectionServer:
                 "poll_errors": self._poll_errors,
                 "draining": self._draining,
             }
-        payload: Dict[str, object] = {
+        return {
             "status": "draining" if counters["draining"] else "serving",
             "queries_served": service.queries_served,
             "index_source": service.index_source,
             "deltas_applied": service.deltas_applied,
             "content_hash": self.content_hash(),
             "targets": len(service.targets),
-            "instances": _service_instances(service),
+            "instances": service.index.number_of_instances(),
             "pending": self._pending,
             "max_pending": self._max_pending,
             "uptime_seconds": round(time.monotonic() - self._started_monotonic, 3),
             **counters,
         }
-        if isinstance(service, ShardedProtectionService):
-            payload["shards"] = service.shard_count
-        return payload
 
     # ------------------------------------------------------------------
     # asyncio plumbing

@@ -207,7 +207,6 @@ class ServingClient:
         cache_dir: Union[str, Path],
         allow_pickle: bool = True,
         max_cached_subsets: Optional[int] = 32,
-        build_workers: Optional[int] = None,
     ) -> ProtectionService:
         """Open a local session on the published snapshot named by its hash.
 
@@ -248,7 +247,6 @@ class ServingClient:
                 target,
                 allow_pickle=allow_pickle,
                 max_cached_subsets=max_cached_subsets,
-                build_workers=build_workers,
             )
         except SnapshotFormatError:
             target.unlink(missing_ok=True)

@@ -25,20 +25,10 @@ from repro.service.registry import (
 )
 from repro.service.requests import ProtectionRequest
 from repro.service.service import ProtectionService
-from repro.service.sharding import (
-    ShardDeltaOutcome,
-    ShardedProtectionService,
-    shard_assignment,
-    shards_from_env,
-)
 
 __all__ = [
     "ProtectionService",
     "ProtectionRequest",
-    "ShardedProtectionService",
-    "ShardDeltaOutcome",
-    "shard_assignment",
-    "shards_from_env",
     "MethodSpec",
     "MethodRunner",
     "register_method",

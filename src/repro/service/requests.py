@@ -3,8 +3,8 @@
 A :class:`ProtectionRequest` is the unit of work of the session API: it names
 a registered method, a budget, and the per-query knobs (engine, seed, budget
 division, lazy evaluation, target subset).  Requests are plain frozen
-dataclasses — hashable, picklable (they cross process boundaries in
-``solve_many(workers=..., mode="process")``) and JSON round-trippable via
+dataclasses — hashable (the server coalesces identical in-flight requests
+on them), picklable and JSON round-trippable via
 :meth:`ProtectionRequest.to_dict` / :meth:`ProtectionRequest.from_dict`.
 """
 

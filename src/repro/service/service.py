@@ -15,11 +15,8 @@ session API splits the work:
   repeated identical requests return identical protector sequences and
   queries may run concurrently.
 
-:meth:`solve_many` fans a batch out over threads (zero setup cost, shares
-the in-process index) or worker processes (the problem — with its built
-flat-array index — is pickled once per worker, then each request travels as
-a tiny dataclass), which is what makes budget sweeps and seed sweeps
-parallel.
+:meth:`solve_many` answers a batch (budget sweeps, seed sweeps), optionally
+fanned out over threads that share the in-process index.
 
 Typical usage::
 
@@ -37,7 +34,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
@@ -57,9 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.motifs.updates import DeltaOutcome, EdgeDelta
 
 __all__ = ["ProtectionService"]
-
-#: Fan-out modes accepted by :meth:`ProtectionService.solve_many`.
-_MODES = ("thread", "process")
 
 
 class ProtectionService:
@@ -83,14 +77,6 @@ class ProtectionService:
         :meth:`TargetSubgraphIndex.restricted_to
         <repro.motifs.enumeration.TargetSubgraphIndex.restricted_to>`).
         ``None`` means unbounded.
-    build_workers:
-        ``None``/``0``/``1`` builds the index serially; ``N > 1`` fans the
-        per-target enumeration (pass 1) out over ``N`` worker processes —
-        bit-identical index for every worker count.  Forwarded to subset
-        sub-sessions (which never enumerate: their index is restricted
-        from this one's).  Worth it once enumeration dominates the build
-        (many targets on a large graph); a small session pays pool spin-up
-        for nothing.
     kernel:
         Coverage-state hot-loop implementation: ``"auto"`` (default, =
         ``None``) runs the compiled C kernel when loadable and falls back
@@ -116,7 +102,6 @@ class ProtectionService:
         motif: Union[str, MotifPattern] = "triangle",
         constant: Optional[int] = None,
         max_cached_subsets: Optional[int] = 32,
-        build_workers: Optional[int] = None,
         kernel: Optional[str] = None,
     ) -> None:
         if max_cached_subsets is not None and max_cached_subsets < 1:
@@ -133,14 +118,11 @@ class ProtectionService:
                 )
             problem = TPPProblem(graph_or_problem, targets, motif=motif, constant=constant)
         self._problem = problem  # reprolint: guarded-by(_lock)
-        self._build_workers = build_workers
         #: the *requested* kernel selector (may be "auto"); the resolved
         #: choice lives on the prototype state and is surfaced by `kernel`
         self._kernel_request = kernel
         # reprolint: guarded-by(_lock)
-        self._index: TargetSubgraphIndex = problem.build_index(
-            build_workers=build_workers
-        )
+        self._index: TargetSubgraphIndex = problem.build_index()
         self._prototype = self._index.new_state(kernel=kernel)  # reprolint: guarded-by(_lock)
         self._build_seconds = stopwatch.elapsed()  # reprolint: guarded-by(_lock)
         self._set_prototype: Optional[SetCoverageState] = None  # reprolint: guarded-by(_lock)
@@ -166,7 +148,6 @@ class ProtectionService:
         path: Union[str, Path],
         allow_pickle: bool = True,
         max_cached_subsets: Optional[int] = 32,
-        build_workers: Optional[int] = None,
         kernel: Optional[str] = None,
     ) -> "ProtectionService":
         """Cold-start a session from a snapshot file — no enumeration.
@@ -193,9 +174,6 @@ class ProtectionService:
             As in the constructor.  Subset sub-sessions do not enumerate
             either: their indexes are restricted from the restored one, and
             the restored problem's ``Graph`` views stay unmaterialised.
-        build_workers:
-            As in the constructor; nothing a snapshot-restored session does
-            enumerates, so it only travels along to sub-sessions.
         kernel:
             As in the constructor (the snapshot stores arrays, not a
             kernel choice; the restored session resolves its own).
@@ -207,12 +185,7 @@ class ProtectionService:
             incompatible format version / platform.
         """
         problem = TPPProblem.from_snapshot(path, allow_pickle=allow_pickle)
-        service = cls(
-            problem,
-            max_cached_subsets=max_cached_subsets,
-            build_workers=build_workers,
-            kernel=kernel,
-        )
+        service = cls(problem, max_cached_subsets=max_cached_subsets, kernel=kernel)
         service._index_source = "snapshot"
         return service
 
@@ -222,7 +195,6 @@ class ProtectionService:
         path: Union[str, Path],
         allow_pickle: bool = True,
         max_cached_subsets: Optional[int] = 32,
-        build_workers: Optional[int] = None,
         kernel: Optional[str] = None,
     ) -> "ProtectionService":
         """Cold-start a session *bundle* written by :meth:`save_session`.
@@ -239,7 +211,6 @@ class ProtectionService:
             path,
             allow_pickle=allow_pickle,
             max_cached_subsets=max_cached_subsets,
-            build_workers=build_workers,
             kernel=kernel,
         )
 
@@ -261,7 +232,6 @@ class ProtectionService:
         constant: Optional[int] = None,
         index: Optional[TargetSubgraphIndex] = None,
         max_cached_subsets: Optional[int] = 32,
-        build_workers: Optional[int] = None,
         kernel: Optional[str] = None,
     ) -> "ProtectionService":
         """Open a session on ``kept`` ⊆ ``all_targets`` with phase-1 semantics.
@@ -270,14 +240,12 @@ class ProtectionService:
         targets are removed from the graph first, so the session's phase-1
         graph equals the phase-1 graph of the full target set (all of ``T``
         stays hidden — the paper removes every sensitive link in phase 1)
-        and the session never enumerates a non-kept target.  The shards of
-        :class:`~repro.service.sharding.ShardedProtectionService` build
-        through here.  Subset sub-sessions (:meth:`solve` with
-        ``request.targets``) do not: they restrict the session's built
-        index instead (:meth:`_subset_session`), which yields the same
-        arrays without enumerating — the subset differential suite pins
-        the two bit-identical, and the sharding differential suite pins
-        shards trace-identical to subset queries on the same target set.
+        and the session never enumerates a non-kept target.  This is the
+        enumerating reference for subset sub-sessions (:meth:`solve` with
+        ``request.targets``), which restrict the session's built index
+        instead (:meth:`_subset_session`) and so yield the same arrays
+        without enumerating — the subset differential suite pins the two
+        bit-identical.
 
         ``kept`` is put in the library-wide
         :func:`~repro.graphs.graph.edge_sort_key` order (duplicates raise
@@ -307,12 +275,7 @@ class ProtectionService:
             constant=constant,
             index=index,
         )
-        return cls(
-            problem,
-            max_cached_subsets=max_cached_subsets,
-            build_workers=build_workers,
-            kernel=kernel,
-        )
+        return cls(problem, max_cached_subsets=max_cached_subsets, kernel=kernel)
 
     # ------------------------------------------------------------------
     # accessors
@@ -336,11 +299,6 @@ class ProtectionService:
     def build_seconds(self) -> float:
         """Wall-clock cost of the one-time build (index + prototype)."""
         return self._build_seconds
-
-    @property
-    def build_workers(self) -> Optional[int]:
-        """The pass-1 fan-out the session was configured with (None = serial)."""
-        return self._build_workers
 
     @property
     def kernel(self) -> str:
@@ -392,8 +350,10 @@ class ProtectionService:
         metadata under ``extra["service"]``: the request echo, whether the
         shared index was reused (false for recount queries and for the first
         query on a fresh target subset, which derives its sub-session),
-        where the answering session's index came from (``index_source``:
-        ``"built"`` or ``"snapshot"``), and the build/solve timing split.
+        where the session's index came from (``index_source``: ``"built"``,
+        ``"snapshot"`` or ``"delta"``; a subset query echoes the provenance
+        its sub-session inherited from this session), and the build/solve
+        timing split.
         """
         request.validate()
         result = self._answer(request)
@@ -422,7 +382,7 @@ class ProtectionService:
             problem.targets
         ):
             session, was_cached = self._subset_session(
-                request.targets, problem, index
+                request.targets, problem, index, index_source, deltas_applied
             )
             result = session.solve(request.with_overrides(targets=None))
             # the sub-session answered a full-target query; restore the
@@ -478,49 +438,28 @@ class ProtectionService:
         self,
         requests: Sequence[ProtectionRequest],
         workers: Optional[int] = None,
-        mode: str = "thread",
     ) -> List[ProtectionResult]:
-        """Answer a batch of queries, optionally fanned out over workers.
+        """Answer a batch of queries, optionally fanned out over threads.
 
         Parameters
         ----------
         requests:
             The queries; results come back in the same order.
         workers:
-            ``None``/``0``/``1`` solves serially; ``N > 1`` fans out.
-        mode:
-            ``"thread"`` shares the in-process index (zero setup, best when
-            queries spend time in array/C code or the batch is small);
-            ``"process"`` pickles the problem — with its built flat-array
-            index — *once per worker* and then streams the tiny request
-            dataclasses, sidestepping the GIL for CPU-bound sweeps.  Custom
-            methods must be registered at import time of their module to be
-            visible inside spawned workers.
+            ``None``/``0``/``1`` solves serially; ``N > 1`` fans out over
+            that many threads sharing the in-process index.
 
         Every request runs on its own state copy, so the fan-out cannot
-        change any result: serial, threaded and process execution produce
+        change any result: serial and threaded execution produce
         byte-identical protector traces (pinned by the regression tests).
         """
-        if mode not in _MODES:
-            raise ExperimentError(f"mode must be one of {_MODES}, got {mode!r}")
         requests = list(requests)
         for request in requests:
             request.validate()
         if workers is None or workers <= 1 or len(requests) <= 1:
             return [self.solve(request) for request in requests]
-        if mode == "thread":
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                return list(executor.map(self.solve, requests))
-        with self._lock:
-            problem = self._problem
-            index_source = self._index_source
-            deltas_applied = self._deltas_applied
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_process_worker_init,
-            initargs=(problem, index_source, deltas_applied, self._kernel_request),
-        ) as executor:
-            return list(executor.map(_process_worker_solve, requests))
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            return list(executor.map(self.solve, requests))
 
     def evaluate_trace(
         self,
@@ -533,26 +472,26 @@ class ProtectionService:
         first ``i`` protectors — so the tuple is one longer than
         ``protectors`` and element 0 is the initial similarity.  The replay
         runs on a copy of the pristine coverage state: protectors that
-        break no instance of these targets (e.g. another shard's picks in
-        a scatter-gather merge, or a baseline's useless deletions) are
-        legal and leave the running similarity unchanged.
+        break no instance of these targets (e.g. a baseline's useless
+        deletions) are legal and leave the running similarity unchanged.
 
         ``targets`` restricts the trace to a target subset exactly as
         :meth:`solve` does — the replay then runs on that subset's
         sub-session (derived by :meth:`_subset_session`, cached in the
-        LRU).  This is the gather half of the sharded merge: every
-        shard replays the *full* merged protector sequence on its own
-        piece, and the element-wise sum of the per-shard traces is the
-        whole request's trace.
+        LRU).
         """
         with self._lock:
             problem = self._problem
             index = self._index
             prototype = self._prototype
+            index_source = self._index_source
+            deltas_applied = self._deltas_applied
         if targets is not None:
             canonical = tuple(canonical_edge(*target) for target in targets)
             if set(canonical) != set(problem.targets):
-                session, _ = self._subset_session(canonical, problem, index)
+                session, _ = self._subset_session(
+                    canonical, problem, index, index_source, deltas_applied
+                )
                 return session.evaluate_trace(protectors)
         state = prototype.copy()
         trace = [state.total_similarity()]
@@ -605,42 +544,26 @@ class ProtectionService:
             new_problem, outcome = self._problem.apply_delta(
                 delta, constant=constant
             )
-            self._install_delta_result(new_problem, outcome, stopwatch.elapsed())
+            build_seconds = stopwatch.elapsed()
+            new_prototype = outcome.index.new_state(kernel=self._kernel_request)
+            changed = set(outcome.changed_targets)
+            with self._lock:
+                self._problem = new_problem
+                self._index = outcome.index
+                self._prototype = new_prototype
+                self._set_prototype = None
+                self._build_seconds = build_seconds
+                self._index_source = "delta"
+                self._deltas_applied += 1
+                if changed:
+                    stale = [
+                        subset
+                        for subset in self._subsessions
+                        if changed.intersection(subset)
+                    ]
+                    for subset in stale:
+                        del self._subsessions[subset]
         return outcome
-
-    def _install_delta_result(
-        self,
-        new_problem: TPPProblem,
-        outcome: "DeltaOutcome",
-        build_seconds: float,
-    ) -> None:
-        """Swap an already-computed delta result into the live session.
-
-        The copy-on-write half of :meth:`apply_delta`, split out so a
-        sharded session can fan the (fallible) incremental maintenance out
-        over all shards *first* and only then install every shard's result
-        — making a multi-shard delta atomic: either every shard swaps or
-        none does.  Subset sub-sessions whose targets' instance sets
-        changed are evicted, the rest survive.
-        """
-        new_prototype = outcome.index.new_state(kernel=self._kernel_request)
-        changed = set(outcome.changed_targets)
-        with self._lock:
-            self._problem = new_problem
-            self._index = outcome.index
-            self._prototype = new_prototype
-            self._set_prototype = None
-            self._build_seconds = build_seconds
-            self._index_source = "delta"
-            self._deltas_applied += 1
-            if changed:
-                stale = [
-                    subset
-                    for subset in self._subsessions
-                    if changed.intersection(subset)
-                ]
-                for subset in stale:
-                    del self._subsessions[subset]
 
     @property
     def deltas_applied(self) -> int:
@@ -685,13 +608,18 @@ class ProtectionService:
         targets: Tuple[Edge, ...],
         problem: TPPProblem,
         index: TargetSubgraphIndex,
+        index_source: str,
+        deltas_applied: int,
     ) -> Tuple["ProtectionService", bool]:
         """Return ``(sub-session, was already cached)`` for a subset query.
 
-        ``problem`` and ``index`` are the session state the caller captured
-        under ``_lock``.  A subset changes which instances count, so it
-        needs its own index — derived on first use by restricting
-        ``problem``'s built index to the subset
+        ``problem``, ``index``, ``index_source`` and ``deltas_applied`` are
+        the session state the caller captured under ``_lock``; a derived
+        sub-session inherits the provenance tags, because its index is a
+        slice of that (built, snapshot-restored or delta-updated) index.
+        A subset changes which instances count, so it needs its own index
+        — derived on first use by restricting ``problem``'s built index to
+        the subset
         (:meth:`TPPProblem.restricted_to
         <repro.core.model.TPPProblem.restricted_to>`: array slices, no
         enumeration, no ``Graph`` views), then shared by every later query
@@ -743,9 +671,11 @@ class ProtectionService:
         session = ProtectionService(
             problem.restricted_to(subset),
             max_cached_subsets=self._max_cached_subsets,
-            build_workers=self._build_workers,
             kernel=self._kernel_request,
         )
+        # not shared with any other thread yet, so no lock is needed
+        session._index_source = index_source
+        session._deltas_applied = deltas_applied
         with self._lock:
             # cache only while the session still serves the index this
             # sub-session was derived from: a delta swap in the meantime
@@ -803,34 +733,3 @@ class ProtectionService:
                 and len(self._subsessions) > self._max_cached_subsets
             ):
                 self._subsessions.popitem(last=False)
-
-
-# ----------------------------------------------------------------------
-# process-mode plumbing: one session per worker, rebuilt from the problem
-# exactly once per worker process.  The problem pickles with its built
-# flat-array index, so the worker's build_index() returns the cached arrays
-# and the prototype state is a memcpy of the index's pristine counters —
-# nothing is enumerated or re-derived inside a worker.
-# ----------------------------------------------------------------------
-_WORKER_SERVICE: Optional[ProtectionService] = None
-
-
-def _process_worker_init(
-    problem: TPPProblem,
-    index_source: str = "built",
-    deltas_applied: int = 0,
-    kernel: Optional[str] = None,
-) -> None:
-    global _WORKER_SERVICE
-    _WORKER_SERVICE = ProtectionService(problem, kernel=kernel)
-    # the worker session serves the parent's (pickled, already-built) index,
-    # so results must echo the parent's provenance tags — a snapshot-restored
-    # session stays "snapshot" (and a delta-updated one keeps its update
-    # count) across the process fan-out
-    _WORKER_SERVICE._index_source = index_source
-    _WORKER_SERVICE._deltas_applied = deltas_applied
-
-
-def _process_worker_solve(request: ProtectionRequest) -> ProtectionResult:
-    assert _WORKER_SERVICE is not None, "worker initializer did not run"
-    return _WORKER_SERVICE.solve(request)

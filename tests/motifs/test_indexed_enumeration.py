@@ -118,27 +118,3 @@ def test_tuple_only_motif_builds_identical_index():
     assert fallback.candidate_edges() == builtin.candidate_edges()
     for target in targets:
         assert fallback.initial_similarity(target) == builtin.initial_similarity(target)
-
-
-def test_tuple_only_motif_through_parallel_build_matches_serial():
-    """The parallel dispatcher must not silently drop the non-built-in path:
-    a custom tuple-only motif enumerated in worker processes produces the
-    same index (same flat arrays) as the serial fallback."""
-    graph = Graph(edges=[(0, 4), (1, 4), (0, 5), (1, 5), (0, 2), (0, 3), (2, 4), (3, 4)])
-    targets = [(0, 1), (2, 3)]
-    serial = TargetSubgraphIndex(graph, targets, TupleOnlyTriangle())
-    for workers in (2, 3):
-        parallel = TargetSubgraphIndex(
-            graph, targets, TupleOnlyTriangle(), build_workers=workers
-        )
-        assert parallel.number_of_instances() == serial.number_of_instances()
-        assert (
-            parallel._inst_edge_ids.tobytes() == serial._inst_edge_ids.tobytes()
-        )
-        assert parallel._inst_indptr.tobytes() == serial._inst_indptr.tobytes()
-        assert parallel._inst_slot.tobytes() == serial._inst_slot.tobytes()
-        assert parallel.candidate_edge_list() == serial.candidate_edge_list()
-        for target in targets:
-            assert parallel.initial_similarity(target) == serial.initial_similarity(
-                target
-            )

@@ -180,22 +180,6 @@ class TestServiceColdStart:
             assert b.extra["service"]["index_source"] == "snapshot"
             assert a.extra["service"]["index_source"] == "built"
 
-    def test_cold_started_session_supports_process_fanout(
-        self, tmp_path, graph, targets
-    ):
-        """A snapshot-restored problem (lazy graphs, deferred edge tables)
-        must survive the pickle round trip into process-mode workers."""
-        _, path = saved_problem(tmp_path, graph, targets, "triangle")
-        cold = ProtectionService.from_snapshot(path)
-        requests = [ProtectionRequest("SGB-Greedy", budget) for budget in (5, 9)]
-        serial = cold.solve_many(requests)
-        fanned = cold.solve_many(requests, workers=2, mode="process")
-        for a, b in zip(serial, fanned):
-            assert a.protectors == b.protectors
-            assert a.similarity_trace == b.similarity_trace
-            # worker sessions echo the parent's provenance tag
-            assert b.extra["service"]["index_source"] == "snapshot"
-
     def test_cold_started_session_serves_target_subsets(
         self, tmp_path, graph, targets
     ):

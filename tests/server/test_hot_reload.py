@@ -7,7 +7,9 @@ copy-on-write machinery; and a corrupt or stale artifact is refused with
 the live session untouched.
 """
 
+import json
 import threading
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -135,6 +137,60 @@ class TestSnapshotSwap:
         assert tuple(map(tuple, fresh["protectors"])) == expected_b.protectors
         assert client.stats()["reloads"] == 1
 
+    def test_coalescing_across_a_reload_boundary(
+        self, served, problem_a, problem_b, hash_a, hash_b, tmp_path
+    ):
+        """A joiner that coalesces onto a solve admitted before the reload
+        gets the admitted session's answer; fresh requests after the
+        in-flight solve completes answer from the new session."""
+        server, client = served
+        bundle = ProtectionService(problem_b).save_session(tmp_path / "b.tppsess")
+        started = threading.Event()
+        release = threading.Event()
+
+        @register_method("Gated-Coalesce-Reload", kind="greedy", order=992)
+        def _run(problem, budget, engine, seed, **options):
+            started.set()
+            assert release.wait(timeout=60.0)
+            return sgb_greedy(problem, budget, engine=engine)
+
+        try:
+            request = ProtectionRequest("Gated-Coalesce-Reload", 4)
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                first = pool.submit(client.solve_payload, request)
+                assert started.wait(timeout=30.0)
+                # the reload lands while the gated solve is mid-flight
+                outcome = client.reload(snapshot=bundle)
+                assert outcome["action"] == "swapped"
+                assert outcome["content_hash"] == hash_b
+                second = pool.submit(client.solve_payload, request)
+                deadline = threading.Event()
+                for _ in range(200):
+                    if server.stats()["coalesced_hits"] >= 1:
+                        break
+                    deadline.wait(0.02)
+                assert server.stats()["coalesced_hits"] >= 1
+                release.set()
+                payloads = [first.result(timeout=60.0), second.result(timeout=60.0)]
+        finally:
+            release.set()
+            unregister_method("Gated-Coalesce-Reload")
+
+        flags = sorted(
+            payload["extra"]["server"].pop("coalesced") for payload in payloads
+        )
+        assert flags == [False, True]
+        # both riders share one solve on the session admitted pre-reload
+        assert payloads[0] == payloads[1]
+        assert payloads[0]["extra"]["server"]["content_hash"] == hash_a
+        assert server.stats()["reloads"] == 1
+        # the next identical request starts fresh on the reloaded session
+        fresh = client.solve_payload(ProtectionRequest("SGB-Greedy", 4))
+        assert fresh["extra"]["server"]["coalesced"] is False
+        assert fresh["extra"]["server"]["content_hash"] == hash_b
+        expected = ProtectionService(problem_b).solve(ProtectionRequest("SGB-Greedy", 4))
+        assert tuple(map(tuple, fresh["protectors"])) == expected.protectors
+
     def test_concurrent_load_straddles_the_swap(
         self, served, problem_a, problem_b, hash_a, hash_b, tmp_path
     ):
@@ -226,6 +282,46 @@ class TestRefusals:
         with pytest.raises(ServerError, match="409"):
             client.reload(snapshot=tmp_path / "never-written.tppsnap")
         assert client.health()["content_hash"] == hash_a
+
+    def test_sharded_bundle_refused_like_any_malformed_bundle(
+        self, served, problem_b, hash_a, tmp_path
+    ):
+        """Sharded sessions are gone; a ``sharded-session`` bundle written
+        by an older release is refused with the same typed 409 as a
+        malformed bundle, and the live session keeps serving unchanged."""
+        _, client = served
+        request = ProtectionRequest("SGB-Greedy", 4)
+        before = client.solve_payload(request)
+        member = problem_b.save_index(tmp_path / "shard-0000.tppsnap")
+        manifest = {
+            "format_version": 1,
+            "kind": "sharded-session",
+            "shards": [member.name],
+            "constant": problem_b.constant,
+            "content_hash": index_content_hash(problem_b.build_index()),
+            "targets_per_shard": [len(problem_b.targets)],
+        }
+        sharded = tmp_path / "session.tppshards"
+        malformed = tmp_path / "broken.tppsess"
+        with zipfile.ZipFile(sharded, "w") as archive:
+            archive.writestr("manifest.json", json.dumps(manifest))
+            archive.write(member, member.name)
+        with zipfile.ZipFile(malformed, "w") as archive:
+            archive.writestr("manifest.json", "{not json")
+        statuses = []
+        for bundle in (sharded, malformed):
+            status, _, body = client._request(
+                "POST", "/reload", body=json.dumps({"snapshot": str(bundle)}).encode()
+            )
+            statuses.append(status)
+            assert "error" in json.loads(body)
+        assert statuses == [409, 409]
+        assert client.health()["content_hash"] == hash_a
+        assert client.stats()["reloads"] == 0
+        after = client.solve_payload(request)
+        assert after["extra"]["server"]["content_hash"] == hash_a
+        assert after["protectors"] == before["protectors"]
+        assert after["similarity_trace"] == before["similarity_trace"]
 
     def test_reload_needs_exactly_one_source(self, served, tmp_path):
         _, client = served

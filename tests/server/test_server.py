@@ -6,6 +6,7 @@ use — so request framing, routing, backpressure, coalescing and the
 replica cold-start all run end-to-end over actual sockets.
 """
 
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -24,6 +25,7 @@ from repro.exceptions import (
 from repro.graphs.generators import powerlaw_cluster_graph
 from repro.persistence import index_content_hash
 from repro.server import ArtifactStore, ProtectionServer, ServingClient, serve_in_background
+from repro.server.protocol import parse_response_head
 from repro.service import (
     ProtectionRequest,
     ProtectionService,
@@ -62,6 +64,22 @@ def served(problem, tmp_path):
 
 def trace(result):
     return (result.protectors, result.similarity_trace)
+
+
+def raw_request(url, payload):
+    """Write raw bytes to the server and return (status, headers, body)."""
+    host, _, port = url.rsplit("/", 1)[-1].partition(":")
+    with socket.create_connection((host, int(port)), timeout=30.0) as sock:
+        sock.sendall(payload)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    status, headers = parse_response_head(head)
+    return status, headers, body
 
 
 class GateMethod:
@@ -174,6 +192,32 @@ class TestRejection:
         with pytest.raises(ServerOverloadedError):
             client.solve(ProtectionRequest("SGB-Greedy", 3))
         assert client.stats()["status"] == "draining"
+
+
+class TestProtocolEdgeCases:
+    def test_oversized_body_is_413(self, served):
+        _, client = served
+        status, _, body = raw_request(
+            client.base_url,
+            b"POST /solve HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: 999999999999\r\n\r\n",
+        )
+        assert status == 413
+        assert b"exceeds" in body
+        # the connection was refused before any body was read; the server
+        # keeps serving
+        assert client.health()["status"] == "ok"
+
+    def test_unknown_route_is_404(self, served):
+        _, client = served
+        status, _, body = client._request("GET", "/definitely-not-a-route")
+        assert status == 404
+        assert b"unknown path" in body
+
+    def test_unknown_route_post_is_404_too(self, served):
+        _, client = served
+        status, _, _ = client._request("POST", "/definitely-not-a-route", body=b"{}")
+        assert status == 404
 
 
 class TestCoalescing:

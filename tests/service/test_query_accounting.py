@@ -80,7 +80,7 @@ class TestAccounting:
         requests = [ProtectionRequest("SGB-Greedy", budget) for budget in (2, 3, 4)]
         service.solve_many(requests)
         assert service.queries_served == 3
-        service.solve_many(requests, workers=3, mode="thread")
+        service.solve_many(requests, workers=3)
         assert service.queries_served == 6
 
     def test_recount_engine_counted_like_any_other(self, service):

@@ -6,7 +6,7 @@ Covers the PR's acceptance guarantees:
   sequences, and a solved query never mutates the session's pristine state,
 * differential — service-path results equal legacy direct-call results on
   randomized instances for every method, and
-* worker independence — serial, threaded and process fan-out produce
+* worker independence — serial and threaded fan-out produce
   byte-identical protector traces.
 """
 
@@ -21,6 +21,7 @@ from repro.datasets.targets import sample_random_targets
 from repro.exceptions import ExperimentError
 from repro.graphs.generators import powerlaw_cluster_graph
 from repro.graphs.graph import Graph, edge_sort_key
+from repro.motifs.updates import EdgeDelta
 from repro.service import ProtectionRequest, ProtectionService, method_names
 
 
@@ -59,34 +60,6 @@ class TestConstruction:
         index = problem.build_index()
         session = ProtectionService(problem)
         assert session.index is index
-
-    def test_build_workers_session_serves_identical_results(self, graph, targets):
-        serial = ProtectionService(graph, targets, motif="triangle")
-        parallel = ProtectionService(
-            graph, targets, motif="triangle", build_workers=2
-        )
-        assert parallel.build_workers == 2
-        assert serial.build_workers is None
-        request = ProtectionRequest("CT-Greedy:TBD", 6)
-        assert trace(parallel.solve(request)) == trace(serial.solve(request))
-        # the parallel-built index is bit-identical, not merely equivalent
-        assert (
-            parallel.index._inst_edge_ids.tobytes()
-            == serial.index._inst_edge_ids.tobytes()
-        )
-        assert (
-            parallel.index._edge_inst_ids.tobytes()
-            == serial.index._edge_inst_ids.tobytes()
-        )
-
-    def test_subset_subsession_inherits_build_workers(self, graph, targets):
-        session = ProtectionService(
-            graph, targets, motif="triangle", build_workers=2
-        )
-        subset = tuple(sorted(targets, key=edge_sort_key)[:2])
-        session.solve(ProtectionRequest("SGB-Greedy", 3, targets=subset))
-        (sub_session,) = session._subsessions.values()
-        assert sub_session.build_workers == 2
 
 
 class TestDeterminismAndIsolation:
@@ -205,15 +178,9 @@ class TestSolveMany:
         batch = self._batch()
         serial = service.solve_many(batch)
         threaded = service.solve_many(batch, workers=3)
-        processed = service.solve_many(batch, workers=2, mode="process")
-        assert [trace(r) for r in serial] == [trace(r) for r in threaded]
-        assert [trace(r) for r in serial] == [trace(r) for r in processed]
         # byte-identical traces, same algorithms, same order
-        assert [r.algorithm for r in serial] == [r.algorithm for r in processed]
-
-    def test_invalid_mode_rejected(self, service):
-        with pytest.raises(ExperimentError):
-            service.solve_many([ProtectionRequest("SGB-Greedy", 2)], workers=2, mode="warp")
+        assert [trace(r) for r in serial] == [trace(r) for r in threaded]
+        assert [r.algorithm for r in serial] == [r.algorithm for r in threaded]
 
     def test_empty_batch(self, service):
         assert service.solve_many([]) == []
@@ -340,12 +307,42 @@ class TestTargetSubsets:
         subset = tuple(targets[:3])
         first = service.solve(ProtectionRequest("SGB-Greedy", 4, targets=subset))
         second = service.solve(ProtectionRequest("SGB-Greedy", 4, targets=subset))
-        # the first subset query enumerated a fresh sub-session
+        # the first subset query derived a fresh sub-session
         assert first.extra["service"]["reused_index"] is False
         assert second.extra["service"]["reused_index"] is True
         # the request echo records the subset the result answered
         echoed = first.extra["service"]["request"]
         assert [tuple(edge) for edge in echoed["targets"]] == list(subset)
+
+    @pytest.mark.parametrize("parent_kind", ["snapshot", "bundle", "delta"])
+    def test_subset_echoes_parent_provenance(
+        self, service, targets, tmp_path, parent_kind
+    ):
+        """A sub-session's index is a slice of its parent's, so a subset
+        answer echoes the parent's ``index_source`` and ``deltas_applied``."""
+        if parent_kind == "snapshot":
+            parent = ProtectionService.from_snapshot(
+                service.problem.save_index(tmp_path / "parent.tppsnap")
+            )
+            expected = ("snapshot", 0)
+        elif parent_kind == "bundle":
+            parent = ProtectionService.from_session(
+                service.save_session(tmp_path / "parent.tppsess")
+            )
+            expected = ("snapshot", 0)
+        else:
+            parent = service
+            kept = set(service.targets)
+            for edge in sorted(service.problem.phase1_graph.edges())[:2]:
+                assert edge not in kept
+                parent.apply_delta(EdgeDelta.deleting(edge))
+            expected = ("delta", 2)
+        request = ProtectionRequest("SGB-Greedy", 4, targets=tuple(targets[:3]))
+        # the query that derives the sub-session, then one served from cache
+        for reused in (False, True):
+            meta = parent.solve(request).extra["service"]
+            assert meta["reused_index"] is reused
+            assert (meta["index_source"], meta["deltas_applied"]) == expected
 
     def test_unknown_subset_target_rejected(self, service):
         with pytest.raises(ExperimentError):

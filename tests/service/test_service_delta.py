@@ -24,7 +24,7 @@ from repro.core.model import TPPProblem
 from repro.datasets.targets import sample_random_targets
 from repro.exceptions import DeltaError, ExperimentError
 from repro.graphs.generators import powerlaw_cluster_graph
-from repro.graphs.graph import canonical_edge
+from repro.graphs.graph import canonical_edge, edge_sort_key
 from repro.motifs.enumeration import TargetSubgraphIndex
 from repro.motifs.updates import EdgeDelta
 from repro.service import ProtectionRequest, ProtectionService
@@ -149,34 +149,41 @@ class TestApplyDelta:
             service.apply_delta({"insert": [(1, 2)]})
 
     def test_subset_sessions_invalidate_only_changed_targets(self, service):
-        targets = service.problem.targets
-        subset_a = (targets[0],)
-        subset_b = (targets[-1],)
-        request_a = ProtectionRequest("SGB-Greedy", 3, targets=subset_a)
-        request_b = ProtectionRequest("SGB-Greedy", 3, targets=subset_b)
-        service.solve(request_a)
-        service.solve(request_b)
-        assert len(service._subsessions) == 2
-        # a delta deleting an edge inside subset_a's instances only
-        index = service.problem.build_index()
-        edges_a = {
-            index.candidate_edge_list()[position]
-            for position in range(index.number_of_candidate_edges())
-        }
-        delta = None
-        for edge in sorted(edges_a):
-            outcome = index.apply_delta(EdgeDelta.deleting(edge))
-            if outcome.changed_targets and set(outcome.changed_targets) <= set(
-                subset_a
-            ):
-                delta = EdgeDelta.deleting(edge)
-                break
-        if delta is None:
-            pytest.skip("no candidate edge touches only the first target")
-        service.apply_delta(delta)
-        keys = set(service._subsessions)
-        assert frozenset(subset_b) in keys
-        assert frozenset(subset_a) not in keys
+        index = service.index
+        live = [
+            target for target in service.targets if index.initial_similarity(target) > 0
+        ]
+        assert len(live) >= 4, "fixture needs four targets with motif instances"
+        subset_a, subset_b = tuple(live[:2]), tuple(live[-2:])
+
+        def instance_edges(targets):
+            return {
+                edge
+                for target in targets
+                for instance in index.instances_of(target)
+                for edge in index.edges_of_instance(instance)
+            }
+
+        # an edge on one of subset_a's instances and on none of subset_b's:
+        # deleting it changes subset_a's instance set and leaves subset_b's
+        victim = min(
+            instance_edges(subset_a[:1]) - instance_edges(subset_b), key=edge_sort_key
+        )
+        # name each subset in reverse order: the cache keys are sorted anyway
+        for subset in (subset_a, subset_b):
+            service.solve(
+                ProtectionRequest("SGB-Greedy", 3, targets=tuple(reversed(subset)))
+            )
+        key_a = tuple(sorted(subset_a, key=edge_sort_key))
+        key_b = tuple(sorted(subset_b, key=edge_sort_key))
+        assert list(service._subsessions) == [key_a, key_b]
+        survivor = service._subsessions[key_b]
+
+        outcome = service.apply_delta(EdgeDelta.deleting(victim))
+        assert subset_a[0] in outcome.changed_targets
+        assert not set(outcome.changed_targets) & set(subset_b)
+        assert list(service._subsessions) == [key_b]
+        assert service._subsessions[key_b] is survivor
 
     def test_second_delta_composes(self, service):
         request = ProtectionRequest("SGB-Greedy", 6)

@@ -747,9 +747,9 @@ class TestNativeBoundaryRule:
 
 
 # ----------------------------------------------------------------------
-# R8 — shard boundary
+# R8 — subset restriction
 # ----------------------------------------------------------------------
-class TestShardBoundaryRule:
+class TestSubsetRestrictionRule:
     def test_direct_construction_in_service_flagged(self):
         findings, _ = lint(
             """
@@ -776,7 +776,7 @@ class TestShardBoundaryRule:
                     )
             """,
             "R8",
-            relpath="src/repro/service/sharding.py",
+            relpath="src/repro/service/service.py",
         )
         assert codes(findings) == ["R8-direct-index"]
         assert "'build'" in findings[0].message
@@ -794,35 +794,21 @@ class TestShardBoundaryRule:
         assert codes(findings) == ["R8-direct-index"]
         assert "<module>" in findings[0].message
 
-    def test_sanctioned_factory_clean(self):
+    def test_nested_function_construction_flagged(self):
         findings, _ = lint(
             """
             from repro.motifs.enumeration import TargetSubgraphIndex
 
-            def _build_shard_index(phase1_graph, shard_targets, motif, workers):
-                return TargetSubgraphIndex(
-                    phase1_graph, shard_targets, motif, build_workers=workers
-                )
-            """,
-            "R8",
-            relpath="src/repro/service/sharding.py",
-        )
-        assert findings == []
-
-    def test_nested_function_inside_factory_still_flagged(self):
-        findings, _ = lint(
-            """
-            from repro.motifs.enumeration import TargetSubgraphIndex
-
-            def _build_shard_index(graph, targets, motif):
+            def open_session(graph, targets, motif):
                 def sneaky():
                     return TargetSubgraphIndex(graph, targets, motif)
                 return sneaky()
             """,
             "R8",
-            relpath="src/repro/service/sharding.py",
+            relpath="src/repro/service/service.py",
         )
         assert codes(findings) == ["R8-direct-index"]
+        assert "'sneaky'" in findings[0].message
 
     def test_outside_service_package_clean(self):
         findings, _ = lint(
@@ -855,7 +841,7 @@ class TestShardBoundaryRule:
             import repro.motifs.enumeration as enumeration
             from repro.motifs.enumeration import TargetSubgraphIndex
 
-            def _build_shard_index(indexed, targets, motif, edges, arities, counts):
+            def derive(indexed, targets, motif, edges, arities, counts):
                 return TargetSubgraphIndex._from_buffers(
                     indexed, targets, motif, edges, arities, counts
                 )
@@ -868,10 +854,9 @@ class TestShardBoundaryRule:
             "R8",
             relpath="src/repro/service/service.py",
         )
-        # the sanctioned factory may construct, but never bypass through a hook
         assert codes(findings) == ["R8-private-index-hook"] * 2
         assert "_from_buffers" in findings[0].message
-        assert "'_build_shard_index'" in findings[0].message
+        assert "'derive'" in findings[0].message
         assert "restricted_to" in findings[1].message
 
     def test_restriction_and_other_hooks_clean(self):

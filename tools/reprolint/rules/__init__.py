@@ -12,7 +12,7 @@ from tools.reprolint.rules.lock_discipline import LockDisciplineRule
 from tools.reprolint.rules.native_boundary import NativeBoundaryRule
 from tools.reprolint.rules.numpy_boundary import NumpyBoundaryRule
 from tools.reprolint.rules.pickle_safety import PickleSafetyRule
-from tools.reprolint.rules.shard_boundary import ShardBoundaryRule
+from tools.reprolint.rules.subset_restriction import SubsetRestrictionRule
 
 __all__ = ["ALL_RULES", "RULES_BY_FAMILY", "ProjectRule", "Rule"]
 
@@ -25,7 +25,7 @@ ALL_RULES: List[Rule] = [
     ExceptionTaxonomyRule(),
     BenchSchemaRule(),
     NativeBoundaryRule(),
-    ShardBoundaryRule(),
+    SubsetRestrictionRule(),
 ]
 
 RULES_BY_FAMILY: Dict[str, Rule] = {rule.family: rule for rule in ALL_RULES}

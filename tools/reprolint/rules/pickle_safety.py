@@ -1,11 +1,11 @@
 """R4 — pickle-safety: nothing unpicklable crosses the process pool.
 
-The parallel build (``build_workers``) and ``solve_many(mode="process")``
-pickle their payloads into ``ProcessPoolExecutor`` workers.  Lambdas,
-functions defined inside another function (closures), and local classes
-cannot be pickled — the failure surfaces at runtime, on the multi-core
-machine that CI is not, as a ``PicklingError`` deep inside
-``concurrent.futures``.
+Anything handed to a ``ProcessPoolExecutor`` is pickled into its workers.
+The library's own paths are serial or threaded, but its problems, indexes
+and states stay picklable, and any process pool that ships them must obey
+this rule.  Lambdas, functions defined inside another function (closures),
+and local classes cannot be pickled — the failure surfaces at runtime, as
+a ``PicklingError`` deep inside ``concurrent.futures``.
 
 The rule finds every name bound to ``ProcessPoolExecutor(...)``
 (assignments and ``with ... as`` aliases) and flags:

@@ -1,20 +1,21 @@
-"""R8 — shard-boundary: service code derives indexes only through factories.
+"""R8 — subset-restriction: service code never assembles an index itself.
 
-The sharding identity theorem rests on one construction invariant: every
-index in the service layer covers instances enumerated on a phase-1 graph
-with *all* session targets hidden, filtered *before* enumeration.  Three
-entry points embody it — :func:`repro.service.sharding._build_shard_index`
-(the shard path), :meth:`ProtectionService.for_filtered_targets` (which
-routes through ``TPPProblem``) and
-:meth:`TargetSubgraphIndex.restricted_to` (the subset path: it slices a
-built index's per-target blocks, so nothing is re-enumerated at all).  A
-service module that calls ``TargetSubgraphIndex(...)`` directly can
-silently enumerate non-shard targets or a differently-filtered graph, and
-one that feeds the private assembly hooks ``TargetSubgraphIndex._from_buffers``
-/ ``TargetSubgraphIndex._restore`` hand-made buffers skips every check those
-entry points make — either breaks bit-identity in a way no single test
-would localise.  So the lint forbids the constructor in ``repro/service/``
-outside the sanctioned factory, and the private hooks everywhere in it.
+Subset sub-sessions are only correct because of one construction
+invariant: every index in the service layer covers instances enumerated on
+a phase-1 graph with *all* session targets hidden.  Two entry points
+embody it — :meth:`TargetSubgraphIndex.restricted_to` (the subset path: it
+slices a built index's per-target blocks, so nothing is re-enumerated at
+all) and :meth:`ProtectionService.for_filtered_targets`, its enumerating
+reference, which filters targets *before* enumeration and routes through
+``TPPProblem``.  A service module that calls ``TargetSubgraphIndex(...)``
+directly can silently enumerate a differently-filtered graph, and one that
+feeds the private assembly hooks ``TargetSubgraphIndex._from_buffers`` /
+``TargetSubgraphIndex._restore`` hand-made buffers skips every check those
+entry points make — either breaks the bit-identity that
+``tests/property/test_subset_restriction_differential.py`` pins between the
+two entry points, in a way no single test would localise.  So the lint
+forbids the constructor and the private hooks everywhere in
+``repro/service/``.
 
 Codes: ``R8-direct-index``, ``R8-private-index-hook``.
 """
@@ -30,9 +31,6 @@ from tools.reprolint.rules.base import Rule
 
 #: path fragment marking the service layer the rule polices.
 _SERVICE_PACKAGE_FRAGMENT = "repro/service/"
-
-#: the one function allowed to construct a TargetSubgraphIndex directly.
-_SANCTIONED_FACTORY = "_build_shard_index"
 
 #: TargetSubgraphIndex's private assembly hooks (delta splices, snapshot
 #: restores); service code reaches them only through the public factories.
@@ -66,14 +64,13 @@ def _private_hook(call: ast.Call) -> Optional[str]:
     return None
 
 
-class ShardBoundaryRule(Rule):
+class SubsetRestrictionRule(Rule):
     family = "R8"
-    name = "shard-boundary"
+    name = "subset-restriction"
     description = (
         "service code never constructs TargetSubgraphIndex directly or "
-        "through its private assembly hooks; indexes come from the "
-        "factories that filter targets before enumeration or restrict a "
-        "built index"
+        "through its private assembly hooks; indexes come from TPPProblem "
+        "(targets filtered before enumeration) or restrict a built index"
     )
 
     def check_module(self, ctx: ModuleContext) -> List[Finding]:
@@ -116,7 +113,7 @@ def _check_scope(
                     )
                 )
                 continue
-            if not _constructs_index(call) or enclosing == _SANCTIONED_FACTORY:
+            if not _constructs_index(call):
                 continue
             findings.append(
                 Finding(
@@ -126,7 +123,7 @@ def _check_scope(
                     call.col_offset,
                     "direct TargetSubgraphIndex construction in service "
                     f"code (enclosing function {enclosing or '<module>'!r}); "
-                    "build indexes through _build_shard_index or "
+                    "build indexes through TPPProblem / "
                     "ProtectionService.for_filtered_targets, or restrict a "
                     "built one with TargetSubgraphIndex.restricted_to",
                 )
