@@ -17,7 +17,15 @@ work (not Python orchestration) dominates.  The native and numpy loops
 must land on identical similarities; their best wall-clocks and speedups
 are recorded with a ``native_speedup_met`` acceptance flag (target 5x).
 
-All timings use a best-of-N harness with a minimum-total-walltime floor:
+A third section times whole ``ProtectionService.solve`` calls (SGB,
+CT:TBD, WT:TBD at 5-30% of the initial similarity) on the serving
+benchmark's 12k-node instance (scaled down with ``--nodes`` below the
+default 10k), on both kernels, as absolute p50 microseconds.  The two kernels' results must be identical in every field
+but the runtime (``whole_solves_identical``).
+
+The first two sections time with a best-of-N harness and a
+minimum-total-walltime floor (the third reports the p50 of a fixed 15
+solves per cell):
 a measurement repeats until it has both ``--repeats`` runs *and*
 ``--min-seconds`` of accumulated wall-clock, then reports the minimum.
 Sub-millisecond loops therefore accumulate hundreds of runs and the
@@ -27,8 +35,8 @@ CI regression gate honest.
 Target-subgraph enumeration is shared by both engines (exactly as in the
 Fig. 5/6 harness) and reported separately; the timed region is protector
 selection only.  The script exits non-zero if the two engines disagree on
-any protector sequence or the two kernels disagree on any loop, so it
-doubles as a large-instance differential test.
+any protector sequence or the two kernels disagree on any loop or whole
+solve, so it doubles as a large-instance differential test.
 """
 
 from __future__ import annotations
@@ -36,9 +44,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
+from typing import Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -61,6 +71,17 @@ CT_SPEEDUP_TARGET = 3.0
 
 #: The acceptance bar for every native-vs-numpy kernel loop speedup.
 NATIVE_SPEEDUP_TARGET = 5.0
+
+#: The default ``--nodes``: the scale the committed report is measured at.
+DEFAULT_NODES = 10_000
+
+#: The whole-solve section's instance (the serving benchmark's, at
+#: DEFAULT_NODES) and sampling.
+SOLVE_NODES = 12_000
+SOLVE_TARGETS = 100
+SOLVE_BUDGET_FRACTIONS = (0.05, 0.1, 0.15, 0.2, 0.3)
+SOLVE_METHODS = ("SGB-Greedy", "CT-Greedy:TBD", "WT-Greedy:TBD")
+SOLVE_SAMPLES = 15
 
 
 def best_of(fn, repeats: int, min_seconds: float) -> float:
@@ -218,6 +239,78 @@ def run_native_section(args: argparse.Namespace) -> dict:
     return section
 
 
+def run_whole_solve_section(args: argparse.Namespace) -> Tuple[dict, bool]:
+    """Time whole ``ProtectionService.solve`` calls on both kernels.
+
+    At the default scale the instance is the serving benchmark's
+    (``perfbench``): a powerlaw-cluster graph of :data:`SOLVE_NODES`
+    nodes (attach 5, seed 0), :data:`SOLVE_TARGETS` degree-weighted
+    targets, rectangle motif.  ``--nodes`` scales the node and target
+    counts by ``nodes / DEFAULT_NODES`` (never up), so a smoke run stays
+    small.  Per method and budget (:data:`SOLVE_BUDGET_FRACTIONS` of the initial
+    similarity) the p50 of :data:`SOLVE_SAMPLES` solves is recorded in
+    absolute microseconds — the state copy, the selection and the result
+    construction, as a session serves it.  Returns the section and
+    whether the two kernels' results were identical in every field but
+    the runtime.
+    """
+    if not native_available():
+        return {
+            "available": False,
+            "note": "native kernel unavailable (no compiler or REPRO_NATIVE=0); "
+            "whole solves not timed",
+        }, True
+    scale = min(1.0, args.nodes / DEFAULT_NODES)
+    graph = powerlaw_cluster_graph(round(SOLVE_NODES * scale), 5, 0.4, seed=0)
+    targets = sample_degree_weighted_targets(
+        graph, max(5, round(SOLVE_TARGETS * scale)), seed=0
+    )
+    problem = TPPProblem(graph, targets, motif="rectangle")
+    sessions = {
+        kernel: ProtectionService(problem, kernel=kernel)
+        for kernel in ("native", "numpy")
+    }
+    initial = sessions["native"].pristine_similarity()
+    budgets = [max(1, int(initial * fraction)) for fraction in SOLVE_BUDGET_FRACTIONS]
+    section = {
+        "available": True,
+        "config": {
+            "nodes": graph.number_of_nodes(),
+            "edges": graph.number_of_edges(),
+            "targets": len(targets),
+            "motif": "rectangle",
+            "instances": initial,
+            "budget_fractions": list(SOLVE_BUDGET_FRACTIONS),
+            "budgets": budgets,
+            "samples": SOLVE_SAMPLES,
+            "cpu_count": os.cpu_count(),
+        },
+        "methods": {},
+    }
+    identical = True
+    for method in SOLVE_METHODS:
+        rows = []
+        for budget in budgets:
+            request = ProtectionRequest(method, budget)
+            row = {"budget": budget}
+            answers = {}
+            for kernel, service in sessions.items():
+                samples = []
+                for _ in range(SOLVE_SAMPLES):
+                    started = time.perf_counter()
+                    answers[kernel] = service.solve(request)
+                    samples.append(time.perf_counter() - started)
+                row[f"{kernel}_p50_us"] = round(statistics.median(samples) * 1e6, 1)
+            row["identical"] = (
+                answers["native"].reproducible_fields()
+                == answers["numpy"].reproducible_fields()
+            )
+            identical = identical and row["identical"]
+            rows.append(row)
+        section["methods"][method] = rows
+    return section, identical
+
+
 def run(args: argparse.Namespace) -> dict:
     graph = powerlaw_cluster_graph(args.nodes, args.attach, 0.4, seed=args.seed)
     sampler = (
@@ -289,12 +382,16 @@ def run(args: argparse.Namespace) -> dict:
     report["min_native_speedup"] = native.get("min_native_speedup", 0.0)
     report["native_speedup_met"] = native.get("native_speedup_met", False)
     report["native_loops_agree"] = native.get("native_loops_agree", True)
+
+    report["whole_solve"], report["whole_solves_identical"] = run_whole_solve_section(
+        args
+    )
     return report
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--nodes", type=int, default=10_000)
+    parser.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     parser.add_argument("--attach", type=int, default=4, help="edges per new node")
     parser.add_argument("--targets", type=int, default=30)
     parser.add_argument("--budget", type=int, default=25)
@@ -376,6 +473,14 @@ def main(argv=None) -> int:
             )
     else:
         print("native kernel unavailable: loops not timed")
+    whole = report["whole_solve"]
+    if whole["available"]:
+        for method, rows in whole["methods"].items():
+            cells = "  ".join(
+                f"{row['native_p50_us']:.0f}/{row['numpy_p50_us']:.0f}" for row in rows
+            )
+            print(f"{'solve ' + method:>18}: native/numpy p50 us {cells}")
+        print(f"whole solves identical across kernels: {report['whole_solves_identical']}")
     print(
         f"SGB speedup {report['sgb_speedup']:.2f}x "
         f"(target >= {SGB_SPEEDUP_TARGET}x, met={report['sgb_speedup_met']}); "
@@ -385,7 +490,11 @@ def main(argv=None) -> int:
         f"(target >= {NATIVE_SPEEDUP_TARGET}x, met={report['native_speedup_met']}); "
         f"report written to {args.output}"
     )
-    ok = report["all_protectors_agree"] and report["native_loops_agree"]
+    ok = (
+        report["all_protectors_agree"]
+        and report["native_loops_agree"]
+        and report["whole_solves_identical"]
+    )
     return 0 if ok else 1
 
 

@@ -47,7 +47,8 @@ the check fails (exit 1)
 if any method's kernel-vs-set *speedup* dropped by more than
 ``--max-regression`` (default 30%, absorbing CI machine noise), if a method
 disappeared, if the engines stopped agreeing on protectors, if the native
-and numpy kernels stopped agreeing on a hot-loop similarity, or if a speedup
+and numpy kernels stopped agreeing on a hot-loop similarity or on a whole
+solve's result (``whole_solves_identical``), or if a speedup
 acceptance target recorded in the committed report is no longer met.  The
 native-vs-numpy loop speedups get the same per-loop floors, and the
 ``native_speedup_met`` flag the same noise tolerance (fail only when the
@@ -245,6 +246,11 @@ def compare(fresh: dict, committed: dict, max_regression: float) -> list:
         failures.append(
             "fresh run: native and numpy kernels disagree on a hot-loop "
             "similarity"
+        )
+    if not fresh.get("whole_solves_identical", True):
+        failures.append(
+            "fresh run: native and numpy kernels disagree on a whole "
+            "ProtectionService.solve result"
         )
     # The committed speedups were measured with the native kernel powering
     # the default engine.  A runner with no C toolchain falls back to numpy,

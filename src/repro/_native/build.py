@@ -211,40 +211,47 @@ class NativeKernel:
         kill_instances.restype = _c_long
         self.kill_instances = kill_instances
 
-        heap_init = lib.repro_heap_init
-        heap_init.argtypes = [_c_void_p, _c_void_p, _c_long]
-        heap_init.restype = None
-        self.heap_init = heap_init
+        kill_many = lib.repro_kill_many
+        kill_many.argtypes = [_c_void_p, _c_void_p, _c_long, _c_void_p]
+        kill_many.restype = _c_long
+        self.kill_many = kill_many
 
-        heap_pop = lib.repro_heap_pop
-        heap_pop.argtypes = [_c_void_p, _c_void_p, _c_long]
-        heap_pop.restype = _c_long
-        self.heap_pop = heap_pop
-
-        heap_push = lib.repro_heap_push
-        heap_push.argtypes = [_c_void_p, _c_void_p, _c_long, _c_long, _c_long]
-        heap_push.restype = _c_long
-        self.heap_push = heap_push
+        heap_build = lib.repro_heap_build
+        heap_build.argtypes = [_c_void_p, _c_void_p, _c_long]
+        heap_build.restype = _c_long
+        self.heap_build = heap_build
 
         top_validate = lib.repro_top_validate
-        top_validate.argtypes = [_c_void_p, _c_void_p, _c_long, _c_void_p, _c_void_p]
+        top_validate.argtypes = [_c_void_p, _c_void_p]
         top_validate.restype = _c_long
         self.top_validate = top_validate
 
-        pair_heap_build = lib.repro_pair_heap_build
-        pair_heap_build.argtypes = (
-            [_c_void_p] * 3
-            + [_c_long] * 2
-            + [_c_void_p, _c_long]
-            + [_c_void_p] * 3
-        )
-        pair_heap_build.restype = _c_long
-        self.pair_heap_build = pair_heap_build
+        top_many = lib.repro_top_many
+        top_many.argtypes = [_c_void_p, _c_long, _c_void_p, _c_void_p]
+        top_many.restype = _c_long
+        self.top_many = top_many
+
+        pair_arena_build = lib.repro_pair_arena_build
+        pair_arena_build.argtypes = [_c_void_p, _c_long, _c_void_p, _c_long]
+        pair_arena_build.restype = _c_long
+        self.pair_arena_build = pair_arena_build
 
         pair_validate_many = lib.repro_pair_validate_many
-        pair_validate_many.argtypes = [_c_void_p, _c_long, _c_long]
+        pair_validate_many.argtypes = [_c_void_p, _c_void_p, _c_long, _c_long, _c_void_p]
         pair_validate_many.restype = _c_long
         self.pair_validate_many = pair_validate_many
+
+        sgb_drive = lib.repro_sgb_drive
+        sgb_drive.argtypes = [_c_void_p, _c_long, _c_void_p, _c_void_p]
+        sgb_drive.restype = _c_long
+        self.sgb_drive = sgb_drive
+
+        pair_drive = lib.repro_pair_drive
+        pair_drive.argtypes = [_c_void_p] + [_c_long] * 3 + [_c_void_p, _c_long] + [
+            _c_void_p
+        ] * 6
+        pair_drive.restype = _c_long
+        self.pair_drive = pair_drive
 
 
 _LOAD_LOCK = threading.Lock()

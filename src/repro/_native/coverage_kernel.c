@@ -1,4 +1,5 @@
-/* Native coverage kernel: the three hot loops of CoverageState.
+/* Native coverage kernel: the hot loops of CoverageState and whole
+ * SGB / CT / WT selections.
  *
  * This file is deliberately dependency-free C99 over the exact flat
  * buffers the Python kernel already owns (C `long` == numpy NP_LONG,
@@ -6,13 +7,50 @@
  * paths share one memory layout and can be differential-tested for
  * bit-identical behaviour.
  *
+ * Entry points (all take the state context `ctx` described below):
+ *   repro_kill_instances     delete one edge, report per-target kills
+ *   repro_kill_many          delete a sequence of edges, report per-step
+ *                            kill counts (RD/RDT, SGB+BB commit, replays)
+ *   repro_heap_build         build the global max-gain heap
+ *   repro_top_validate       validated max-gain edge
+ *   repro_top_many           the k best validated edges, heap unchanged
+ *   repro_pair_arena_build   build every target's pair heap in one pass
+ *   repro_pair_validate_many cross-target arg-max pair over a target list
+ *   repro_sgb_drive          a whole SGB-Greedy selection
+ *   repro_pair_drive         a whole CT-Greedy (across) or WT-Greedy
+ *                            (within) selection
+ *
  * Heap representation: a binary min-heap over parallel (keys, ids)
  * arrays ordered lexicographically by (key, id) — exactly the total
  * order Python's heapq applies to its (-gain, edge_id) tuples.  Because
  * every (key, id) pair is distinct (ids are unique within a heap), the
  * validated pop sequence depends only on the heap *contents*, never on
  * the internal array layout, which is what makes this implementation
- * observably identical to heapq.
+ * observably identical to heapq.  Keys are stale upper bounds (gains only
+ * ever decrease), so a heap built on any earlier state of the same walk
+ * validates to the same tops as one built now: that is what lets a state
+ * copy start from the pristine prototype's warm heaps.
+ *
+ * State context: one array of longs per state (pointers stored as
+ * integers; `long` holds a pointer on every platform this loads on):
+ *   ctx[0]  edge_indptr    ctx[1]  edge_inst_ids  ctx[2]  inst_indptr
+ *   ctx[3]  inst_edge_ids  ctx[4]  inst_slot      ctx[5]  inst_target_idx
+ *   ctx[6]  alive          ctx[7]  gain           ctx[8]  et_count
+ *   ctx[9]  alive_by_tidx  ctx[10] broken         ctx[11] touched
+ *   ctx[12] et_indptr      ctx[13] et_tidx
+ *   ctx[14] heap keys      ctx[15] heap ids       ctx[16] heap size
+ *   ctx[17] arena keys     ctx[18] arena ids      ctx[19] arena offsets
+ *   ctx[20] arena sizes    ctx[21] n_targets
+ * Slot 16 is a value the C side updates (-1: heap not built).
+ *
+ * Pair-heap arena: the per-target heaps of best_scored_pair live in one
+ * flat (keys, ids) pair of arrays; target t's heap occupies
+ * [offsets[t], offsets[t] + sizes[t]).  Its capacity offsets[t+1] -
+ * offsets[t] is the number of counter-matrix entries of t (every edge
+ * that can ever have an own-gain for t), so one allocation serves every
+ * target and a state copy is one memcpy.  repro_pair_arena_build keys
+ * every heap to one MLBT weight in a single pass (a session prototype
+ * does so once; a state without a keyed arena on its first pair query).
  *
  * Compiled on demand by repro._native.build (ctypes, per-user cache
  * keyed by the SHA-256 of this source) or ahead of time as the optional
@@ -24,6 +62,8 @@
 #else
 #define REPRO_EXPORT __attribute__((visibility("default")))
 #endif
+
+#define CTX_PTR(type, slot) ((type *) ctx[slot])
 
 /* PyInit shim so the file can double as an "extension module" for the
  * optional setuptools build: the resulting artifact is still loaded via
@@ -37,59 +77,64 @@ REPRO_EXPORT void *PyInit__coverage_kernel(void) { return 0; }
 
 /* Delete `edge_id`: kill every alive instance containing it, decrement
  * the per-edge and per-(edge, target) live counters of every sibling
- * membership, maintain the per-target alive counts, and accumulate the
- * per-target broken counts into `broken`.  The caller keeps `broken`
- * all-zero between calls (it re-zeroes exactly the touched entries), so
- * no O(n_targets) clear happens here; the indices of the touched
- * entries come back through `touched` (touched[0] = count, then the
- * target indices in ascending order).  Returns the total number of
- * instances killed.
- *
- * The buffer addresses arrive packed in `ctx` (one pointer argument
- * instead of twelve: per-argument ctypes conversion is measurable at
- * this call rate).  Layout:
- *   ctx[0] edge_indptr   ctx[1] edge_inst_ids  ctx[2] inst_indptr
- *   ctx[3] inst_edge_ids ctx[4] inst_slot      ctx[5] inst_target_idx
- *   ctx[6] alive         ctx[7] gain           ctx[8] et_count
- *   ctx[9] alive_by_tidx ctx[10] broken        ctx[11] touched */
-REPRO_EXPORT long repro_kill_instances(const long *ctx, long edge_id)
+ * membership and maintain the per-target alive counts.  When `report`
+ * is set, the per-target broken counts accumulate into ctx[10] (kept
+ * all-zero between calls by the caller) and the touched target indices
+ * into ctx[11] (unsorted; slot 0 receives the count).  Returns the
+ * number of instances killed. */
+static long kill_walk(const long *ctx, long edge_id, int report)
 {
-    const long *edge_indptr = (const long *) ctx[0];
-    const long *edge_inst_ids = (const long *) ctx[1];
-    const long *inst_indptr = (const long *) ctx[2];
-    const long *inst_edge_ids = (const long *) ctx[3];
-    const long *inst_slot = (const long *) ctx[4];
-    const long *inst_target_idx = (const long *) ctx[5];
-    unsigned char *alive = (unsigned char *) ctx[6];
-    long *gain = (long *) ctx[7];
-    long *et_count = (long *) ctx[8];
-    long *alive_by_tidx = (long *) ctx[9];
-    long *broken = (long *) ctx[10];
-    long *touched = (long *) ctx[11];
-    long killed = 0;
-    long n_touched = 0;
-    long position, stop, i;
+    const long *edge_indptr = CTX_PTR(const long, 0);
+    const long *edge_inst_ids = CTX_PTR(const long, 1);
+    const long *inst_indptr = CTX_PTR(const long, 2);
+    const long *inst_edge_ids = CTX_PTR(const long, 3);
+    const long *inst_slot = CTX_PTR(const long, 4);
+    const long *inst_target_idx = CTX_PTR(const long, 5);
+    unsigned char *alive = CTX_PTR(unsigned char, 6);
+    long *gain = CTX_PTR(long, 7);
+    long *et_count = CTX_PTR(long, 8);
+    long *alive_by_tidx = CTX_PTR(long, 9);
+    long *broken = CTX_PTR(long, 10);
+    long *touched = CTX_PTR(long, 11);
+    long killed = 0, n_touched = 0;
+    long position, stop;
 
     stop = edge_indptr[edge_id + 1];
     for (position = edge_indptr[edge_id]; position < stop; position++) {
         long instance_id = edge_inst_ids[position];
-        long tidx, lo, hi, member;
+        long tidx, member, hi;
         if (!alive[instance_id])
             continue;
         alive[instance_id] = 0;
         tidx = inst_target_idx[instance_id];
-        if (broken[tidx] == 0)
-            touched[1 + n_touched++] = tidx;
-        broken[tidx] += 1;
+        if (report) {
+            if (broken[tidx] == 0)
+                touched[1 + n_touched++] = tidx;
+            broken[tidx] += 1;
+        }
         alive_by_tidx[tidx] -= 1;
         killed += 1;
-        lo = inst_indptr[instance_id];
         hi = inst_indptr[instance_id + 1];
-        for (member = lo; member < hi; member++) {
+        for (member = inst_indptr[instance_id]; member < hi; member++) {
             gain[inst_edge_ids[member]] -= 1;
             et_count[inst_slot[member]] -= 1;
         }
     }
+    if (report)
+        touched[0] = n_touched;
+    return killed;
+}
+
+/* Delete `edge_id` and report the per-target broken counts through the
+ * scratch buffers: ctx[10][tidx] holds the count of every touched
+ * target, ctx[11] = [count, touched target indices ascending].  The
+ * caller re-zeroes exactly the touched entries of ctx[10].  Returns the
+ * total number of instances killed. */
+REPRO_EXPORT long repro_kill_instances(const long *ctx, long edge_id)
+{
+    long *touched = CTX_PTR(long, 11);
+    long killed = kill_walk(ctx, edge_id, 1);
+    long n_touched = touched[0], i;
     /* ascending target order (insertion sort: the list is tiny and
      * near-sorted, instances are stored grouped by target) */
     for (i = 2; i <= n_touched; i++) {
@@ -101,8 +146,22 @@ REPRO_EXPORT long repro_kill_instances(const long *ctx, long edge_id)
         }
         touched[j + 1] = value;
     }
-    touched[0] = n_touched;
     return killed;
+}
+
+/* Delete `ids[0..n)` in order (an id < 0 names an edge outside the
+ * graph and kills nothing); out_killed[i] receives the instances the
+ * i-th deletion killed.  Returns the total. */
+REPRO_EXPORT long repro_kill_many(const long *ctx, const long *ids, long n,
+                                  long *out_killed)
+{
+    long total = 0, i;
+    for (i = 0; i < n; i++) {
+        long killed = ids[i] < 0 ? 0 : kill_walk(ctx, ids[i], 0);
+        out_killed[i] = killed;
+        total += killed;
+    }
+    return total;
 }
 
 /* ------------------------------------------------------------------ */
@@ -152,15 +211,15 @@ static void heap_sift_up(long *keys, long *ids, long node)
 }
 
 /* Floyd heap construction over `size` (key, id) pairs. */
-REPRO_EXPORT void repro_heap_init(long *keys, long *ids, long size)
+static void heap_init(long *keys, long *ids, long size)
 {
     long root;
     for (root = size / 2 - 1; root >= 0; root--)
         heap_sift_down(keys, ids, size, root);
 }
 
-/* Pop the root (caller reads keys[0]/ids[0] first); returns the new size. */
-REPRO_EXPORT long repro_heap_pop(long *keys, long *ids, long size)
+/* Pop the root; returns the new size. */
+static long heap_pop(long *keys, long *ids, long size)
 {
     size -= 1;
     if (size > 0) {
@@ -171,55 +230,161 @@ REPRO_EXPORT long repro_heap_pop(long *keys, long *ids, long size)
     return size;
 }
 
-/* Push one (key, id); the caller guarantees capacity.  Returns the new
- * size. */
-REPRO_EXPORT long repro_heap_push(long *keys, long *ids, long size,
-                                  long key, long id)
+/* ------------------------------------------------------------------ */
+/* global max-gain heap                                                */
+/* ------------------------------------------------------------------ */
+
+/* Build the global heap over the candidate ids `candidates[0..n)` with a
+ * positive live gain: keys hold -gain, so the min-heap root is the
+ * max-gain candidate.  ctx[14]/ctx[15] must have room for n entries.
+ * Returns the heap size (also stored in ctx[16]). */
+REPRO_EXPORT long repro_heap_build(long *ctx, const long *candidates, long n)
 {
-    keys[size] = key;
-    ids[size] = id;
-    heap_sift_up(keys, ids, size);
-    return size + 1;
+    const long *gain = CTX_PTR(const long, 7);
+    long *keys = CTX_PTR(long, 14);
+    long *ids = CTX_PTR(long, 15);
+    long size = 0, i;
+    for (i = 0; i < n; i++) {
+        long edge_id = candidates[i];
+        if (gain[edge_id] > 0) {
+            keys[size] = -gain[edge_id];
+            ids[size] = edge_id;
+            size++;
+        }
+    }
+    heap_init(keys, ids, size);
+    ctx[16] = size;
+    return size;
 }
 
-/* ------------------------------------------------------------------ */
-/* lazy-heap validation loops                                          */
-/* ------------------------------------------------------------------ */
-
-/* Validate the top of the global max-gain heap (keys hold -gain, so the
- * min-heap root is the max-gain candidate).  Pops dead entries, repairs
- * stale keys in place (sound: gains only ever decrease), and stops at
- * the first root whose key matches the live counter.  Writes the
- * validated edge id and its gain into out[0]/out[1] (out[0] = -1 when
- * the heap runs empty) and returns the new heap size. */
-REPRO_EXPORT long repro_top_validate(long *keys, long *ids, long size,
-                                     const long *gain, long *out)
+/* Validate the root of the global heap: pop dead entries, repair stale
+ * keys in place (sound: gains only ever decrease) and stop at the first
+ * root whose key matches the live counter.  Returns its edge id and
+ * writes its gain into *gain_out; -1 when the heap runs empty. */
+static long top_validate(long *ctx, long *gain_out)
 {
+    const long *gain = CTX_PTR(const long, 7);
+    long *keys = CTX_PTR(long, 14);
+    long *ids = CTX_PTR(long, 15);
+    long size = ctx[16];
+    long result = -1;
     while (size > 0) {
         long edge_id = ids[0];
         long current = gain[edge_id];
         if (current <= 0) {
-            size = repro_heap_pop(keys, ids, size);
+            size = heap_pop(keys, ids, size);
         } else if (-keys[0] != current) {
             keys[0] = -current;
             heap_sift_down(keys, ids, size, 0);
         } else {
-            out[0] = edge_id;
-            out[1] = current;
-            return size;
+            *gain_out = current;
+            result = edge_id;
+            break;
         }
     }
-    out[0] = -1;
-    out[1] = 0;
-    return 0;
+    ctx[16] = size;
+    return result;
+}
+
+/* Public twin of top_validate: out[0] = edge id (-1: none), out[1] =
+ * its gain.  Returns the edge id. */
+REPRO_EXPORT long repro_top_validate(long *ctx, long *out)
+{
+    long current = 0;
+    long edge_id = top_validate(ctx, &current);
+    out[0] = edge_id;
+    out[1] = current;
+    return edge_id;
+}
+
+/* The `k` best validated (edge id, gain) pairs, best first, into
+ * out_ids/out_gains; returns how many were found.  Each validated root
+ * is popped to expose the next and pushed back afterwards, so the heap
+ * keeps its contents as a multiset (and its capacity). */
+REPRO_EXPORT long repro_top_many(long *ctx, long k, long *out_ids,
+                                 long *out_gains)
+{
+    long *keys = CTX_PTR(long, 14);
+    long *ids = CTX_PTR(long, 15);
+    long n = 0, i, size;
+    while (n < k) {
+        long current = 0;
+        long edge_id = top_validate(ctx, &current);
+        if (edge_id < 0)
+            break;
+        out_ids[n] = edge_id;
+        out_gains[n] = current;
+        n++;
+        ctx[16] = heap_pop(keys, ids, ctx[16]);
+    }
+    size = ctx[16];
+    for (i = 0; i < n; i++) {
+        keys[size] = -out_gains[i];
+        ids[size] = out_ids[i];
+        heap_sift_up(keys, ids, size);
+        size++;
+    }
+    ctx[16] = size;
+    return n;
+}
+
+/* ------------------------------------------------------------------ */
+/* per-target pair heaps                                               */
+/* ------------------------------------------------------------------ */
+
+/* Build every target's best_scored_pair heap in one pass over the rows
+ * of the per-(edge, target) counter matrix of the candidate edges
+ * `candidates[0..n)` (the only edges with rows): entry (e, t) with a
+ * positive live own-gain contributes (-(own * weight + gain[e]), e) to
+ * t's heap.  The result holds the same (key, id) multiset the numpy
+ * kernel's per-target walk over the target's alive instances produces,
+ * which is all the validated pop order depends on.  Returns the number of entries
+ * written. */
+REPRO_EXPORT long repro_pair_arena_build(long *ctx, long weight,
+                                         const long *candidates, long n)
+{
+    const long *gain = CTX_PTR(const long, 7);
+    const long *et_count = CTX_PTR(const long, 8);
+    const long *et_indptr = CTX_PTR(const long, 12);
+    const long *et_tidx = CTX_PTR(const long, 13);
+    long *keys = CTX_PTR(long, 17);
+    long *ids = CTX_PTR(long, 18);
+    const long *offsets = CTX_PTR(const long, 19);
+    long *sizes = CTX_PTR(long, 20);
+    long n_targets = ctx[21];
+    long total = 0, i, slot, tidx;
+
+    for (tidx = 0; tidx < n_targets; tidx++)
+        sizes[tidx] = 0;
+    for (i = 0; i < n; i++) {
+        long edge_id = candidates[i];
+        long stop = et_indptr[edge_id + 1];
+        for (slot = et_indptr[edge_id]; slot < stop; slot++) {
+            long own = et_count[slot];
+            long position;
+            if (own <= 0)
+                continue;
+            tidx = et_tidx[slot];
+            position = offsets[tidx] + sizes[tidx]++;
+            keys[position] = -(own * weight + gain[edge_id]);
+            ids[position] = edge_id;
+        }
+    }
+    for (tidx = 0; tidx < n_targets; tidx++) {
+        heap_init(keys + offsets[tidx], ids + offsets[tidx], sizes[tidx]);
+        total += sizes[tidx];
+    }
+    return total;
 }
 
 /* Live own-gain of (edge_id, tidx): one scan of the edge's row of the
  * per-(edge, target) counter matrix; rows are tidx-ascending so the
  * scan stops early.  Mirrors CoverageState._own_gain exactly. */
-static long own_gain(const long *et_indptr, const long *et_tidx,
-                     const long *et_count, long edge_id, long tidx)
+static long own_gain(const long *ctx, long edge_id, long tidx)
 {
+    const long *et_indptr = CTX_PTR(const long, 12);
+    const long *et_tidx = CTX_PTR(const long, 13);
+    const long *et_count = CTX_PTR(const long, 8);
     long slot, stop = et_indptr[edge_id + 1];
     for (slot = et_indptr[edge_id]; slot < stop; slot++) {
         long entry = et_tidx[slot];
@@ -231,96 +396,40 @@ static long own_gain(const long *et_indptr, const long *et_tidx,
     return 0;
 }
 
-/* Build one target's best_scored_pair heap: count the live own-gain of
- * every edge appearing in the target's alive instances (`start..stop` is
- * the target's instance-id range; instance ids are grouped by target),
- * then heapify (key, id) = (-(own * weight + total), edge id) in place.
+/* Validate the pair heaps of the `n` targets `tidxs[0..n)` and return
+ * the position (in `tidxs`) of the arg-max pair, -1 when every queried
+ * heap ran empty; *key_out/*id_out receive its key and edge id.
  *
- * `counts` is an all-zero n_edges scratch the caller reuses across
- * builds; it is re-zeroed on the way out.  `ids` doubles as the
- * first-touch edge list during counting, so only the used prefix is
- * written.  Heap *contents* are what the validation order depends on,
- * so the first-touch insertion order is immaterial.  Returns the heap
- * size. */
-REPRO_EXPORT long repro_pair_heap_build(
-    const long *inst_indptr, const long *inst_edge_ids,
-    const unsigned char *alive, long start, long stop,
-    const long *gain, long weight, long *counts, long *keys, long *ids)
+ * Each heap holds keys of -(own * weight + total) with weight =
+ * constant - 1; entries whose own gain dropped to zero are popped,
+ * stale keys are recomputed from the live counters and sifted back
+ * (keys only ever decrease), and the first exact match is the target's
+ * current arg-max pair.  Across targets the best pair wins by the
+ * highest key, ties toward the smallest edge id and then the earliest
+ * position — the numpy path's left-to-right strict-improvement sweep. */
+static long pair_best(long *ctx, const long *tidxs, long n, long weight,
+                      long *key_out, long *id_out)
 {
-    long n = 0;
-    long inst, member, i;
-    for (inst = start; inst < stop; inst++) {
-        long lo, hi;
-        if (!alive[inst])
-            continue;
-        lo = inst_indptr[inst];
-        hi = inst_indptr[inst + 1];
-        for (member = lo; member < hi; member++) {
-            long edge_id = inst_edge_ids[member];
-            if (counts[edge_id] == 0)
-                ids[n++] = edge_id;
-            counts[edge_id] += 1;
-        }
-    }
-    for (i = 0; i < n; i++) {
-        long edge_id = ids[i];
-        keys[i] = -(counts[edge_id] * weight + gain[edge_id]);
-        counts[edge_id] = 0;
-    }
-    repro_heap_init(keys, ids, n);
-    return n;
-}
-
-/* Validate the best_scored_pair heaps of the `n` queried targets and
- * return the arg-max pair across all of them in one call (this is the
- * CT/WT greedy inner loop: per-target ctypes round-trips would dominate
- * the walltime otherwise).
- *
- * `keys_tab`/`ids_tab`/`sizes` are tables indexed by target index; the
- * query lists the target indices to visit in `tidxs[0..n)`.  Each heap
- * holds keys of -(own * weight + total) with weight = constant - 1;
- * entries whose own gain dropped to zero are popped, stale keys are
- * recomputed from the live counters and sifted back (keys only ever
- * decrease), and the first exact match is the current arg-max pair for
- * that target.  New heap sizes are written back into `sizes`.
- *
- * Across targets the best pair wins by the highest key, ties toward the
- * smallest edge id and then the earliest query position — identical to
- * the numpy path's left-to-right strict-improvement sweep.  Writes
- * out[0] = key, out[1] = edge id, out[2] = query position and returns
- * the winning query position (-1 when every queried heap ran empty).
- *
- * Like the kill walk, the buffer addresses arrive packed in `ctx`:
- *   ctx[0] keys_tab  ctx[1] ids_tab  ctx[2] sizes      ctx[3] tidxs
- *   ctx[4] gain      ctx[5] et_indptr ctx[6] et_tidx   ctx[7] et_count
- *   ctx[8] out */
-REPRO_EXPORT long repro_pair_validate_many(const long *ctx, long n,
-                                           long weight)
-{
-    long **keys_tab = (long **) ctx[0];
-    long **ids_tab = (long **) ctx[1];
-    long *sizes = (long *) ctx[2];
-    const long *tidxs = (const long *) ctx[3];
-    const long *gain = (const long *) ctx[4];
-    const long *et_indptr = (const long *) ctx[5];
-    const long *et_tidx = (const long *) ctx[6];
-    const long *et_count = (const long *) ctx[7];
-    long *out = (long *) ctx[8];
+    const long *gain = CTX_PTR(const long, 7);
+    long *arena_keys = CTX_PTR(long, 17);
+    long *arena_ids = CTX_PTR(long, 18);
+    const long *offsets = CTX_PTR(const long, 19);
+    long *sizes = CTX_PTR(long, 20);
     long best_key = -1, best_id = -1, best_pos = -1;
     long i;
 
     for (i = 0; i < n; i++) {
         long tidx = tidxs[i];
-        long *keys = keys_tab[tidx];
-        long *ids = ids_tab[tidx];
+        long *keys = arena_keys + offsets[tidx];
+        long *ids = arena_ids + offsets[tidx];
         long size = sizes[tidx];
         long top_key = -1, top_id = -1;
         while (size > 0) {
             long edge_id = ids[0];
-            long own = own_gain(et_indptr, et_tidx, et_count, edge_id, tidx);
+            long own = own_gain(ctx, edge_id, tidx);
             long key;
             if (own <= 0) {
-                size = repro_heap_pop(keys, ids, size);
+                size = heap_pop(keys, ids, size);
                 continue;
             }
             key = own * weight + gain[edge_id];
@@ -342,8 +451,123 @@ REPRO_EXPORT long repro_pair_validate_many(const long *ctx, long n,
             best_pos = i;
         }
     }
-    out[0] = best_key;
-    out[1] = best_id;
-    out[2] = best_pos;
+    *key_out = best_key;
+    *id_out = best_id;
     return best_pos;
+}
+
+/* Public twin of pair_best: out[0] = key, out[1] = edge id, out[2] =
+ * query position (-1: no pair).  Returns the position. */
+REPRO_EXPORT long repro_pair_validate_many(long *ctx, const long *tidxs,
+                                           long n, long weight, long *out)
+{
+    long key, edge_id;
+    long position = pair_best(ctx, tidxs, n, weight, &key, &edge_id);
+    out[0] = key;
+    out[1] = edge_id;
+    out[2] = position;
+    return position;
+}
+
+/* ------------------------------------------------------------------ */
+/* whole-selection drivers                                             */
+/* ------------------------------------------------------------------ */
+
+/* SGB-Greedy: up to `budget` times, delete the validated max-gain edge.
+ * out_ids[i] / out_killed[i] receive the i-th deleted edge and the
+ * instances it killed.  Returns the number of deletions (fewer than
+ * `budget` once no edge has a positive gain).  Needs the global heap. */
+REPRO_EXPORT long repro_sgb_drive(long *ctx, long budget, long *out_ids,
+                                  long *out_killed)
+{
+    long picks = 0;
+    while (picks < budget) {
+        long current = 0;
+        long edge_id = top_validate(ctx, &current);
+        if (edge_id < 0)
+            break;
+        out_ids[picks] = edge_id;
+        out_killed[picks] = kill_walk(ctx, edge_id, 0);
+        picks++;
+    }
+    return picks;
+}
+
+/* CT-Greedy / WT-Greedy under per-target sub-budgets `quota` (indexed
+ * by target index).  `order[0..n)` lists target indices; the driver may
+ * reorder it in place.  out_ids[i] / out_tidx[i] / out_killed[i] receive
+ * the i-th deleted edge, the target it was charged to and the instances
+ * it killed.  Returns the number of deletions.  Needs the pair arena
+ * keyed to `weight`, and (across mode) the global heap.
+ *
+ * across (within == 0): `order` is the problem's target order.  Every
+ * step scores the pairs of all targets whose sub-budget is not yet
+ * spent and deletes the arg-max pair's edge, charged to its target.
+ * When no active target has an own-gain edge left, the max-gain edge is
+ * deleted instead and charged to the active target with the most
+ * sub-budget left, ties toward the smallest rank[tidx] (the target's
+ * position in edge_sort_key order).  `used` (n_targets, zeroed by the
+ * caller) counts each target's charged deletions.
+ *
+ * within (within != 0): `order` is the processing order (a target may
+ * repeat).  Each visit deletes the best pair of that one target until
+ * its sub-budget is spent or it has no own-gain edge left, then moves
+ * on; `rank` and `used` are not read. */
+REPRO_EXPORT long repro_pair_drive(long *ctx, long weight, long budget,
+                                   long within, long *order, long n,
+                                   const long *quota, const long *rank,
+                                   long *used, long *out_ids,
+                                   long *out_tidx, long *out_killed)
+{
+    long picks = 0, head = 0, visit = 0, i, kept = 0;
+    if (!within) {
+        for (i = 0; i < n; i++)
+            if (quota[order[i]] > 0)
+                order[kept++] = order[i];
+        n = kept;
+    }
+    while (picks < budget) {
+        long key = 0, edge_id = -1, position, tidx;
+        if (within) {
+            if (head >= n)
+                break;
+            if (visit >= quota[order[head]] ||
+                pair_best(ctx, order + head, 1, weight, &key, &edge_id) < 0) {
+                head++;
+                visit = 0;
+                continue;
+            }
+            tidx = order[head];
+            visit++;
+        } else {
+            if (n == 0)
+                break;
+            position = pair_best(ctx, order, n, weight, &key, &edge_id);
+            if (position < 0) {
+                long current = 0;
+                edge_id = top_validate(ctx, &current);
+                if (edge_id < 0)
+                    break;
+                position = 0;
+                for (i = 1; i < n; i++) {
+                    long a = used[order[i]] - quota[order[i]];
+                    long b = used[order[position]] - quota[order[position]];
+                    if (a < b || (a == b && rank[order[i]] < rank[order[position]]))
+                        position = i;
+                }
+            }
+            tidx = order[position];
+            used[tidx] += 1;
+            if (used[tidx] >= quota[tidx]) {
+                for (i = position + 1; i < n; i++)
+                    order[i - 1] = order[i];
+                n--;
+            }
+        }
+        out_ids[picks] = edge_id;
+        out_tidx[picks] = tidx;
+        out_killed[picks] = kill_walk(ctx, edge_id, 0);
+        picks++;
+    }
+    return picks;
 }

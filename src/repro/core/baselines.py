@@ -18,10 +18,10 @@ same deletions across processes and hash seeds.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Union
+from typing import Iterable, List, Union
 
 from repro.core.model import ProtectionResult, TPPProblem
-from repro.core.selection import Stopwatch, edge_sort_key
+from repro.core.selection import Stopwatch, similarity_trace
 from repro.exceptions import BudgetError
 from repro.graphs.graph import Edge
 from repro.motifs.enumeration import CoverageState, SetCoverageState
@@ -44,36 +44,41 @@ def _rng(seed: RandomLike) -> random.Random:
 def _run_random_baseline(
     problem: TPPProblem,
     budget: int,
-    candidates: List[Edge],
+    pool: Iterable[int],
     algorithm: str,
     seed: RandomLike,
-    deterministic_order: bool = False,
-    state: StateLike = None,
+    state: StateLike,
 ) -> ProtectionResult:
+    """Delete the first ``budget`` edges of the shuffled edge-id ``pool``
+    on ``state`` and trace the similarity.
+
+    The whole pool is shuffled (the seeded sample depends on it), as ids:
+    ``Random.shuffle``'s permutation depends only on the pool length and
+    the RNG, and ids ascend in ``edge_sort_key`` order, so the sample is
+    the one a shuffle of the sorted edge list picks — without building
+    an edge tuple per pool entry.
+    """
     if budget < 0:
         raise BudgetError(f"budget must be >= 0, got {budget}")
     stopwatch = Stopwatch()
-    rng = _rng(seed)
+    index = problem.build_index()
+    ids = list(pool)
+    _rng(seed).shuffle(ids)
+    edge_at = index.indexed_graph.edge_at
+    chosen = [edge_at(edge_id) for edge_id in ids[:budget]]
     if state is None:
-        state = problem.build_index().new_state()
-
-    pool = list(candidates)
-    if not deterministic_order:
-        pool.sort(key=edge_sort_key)
-    rng.shuffle(pool)
-    chosen = pool[: min(budget, len(pool))]
-
-    trace = [state.total_similarity()]
-    for edge in chosen:
-        state.delete_edge(edge)
-        trace.append(state.total_similarity())
-
+        state = index.new_state()
+    initial = state.total_similarity()
+    if isinstance(state, CoverageState):
+        killed = state.kill_sequence(chosen)
+    else:
+        killed = [sum(state.delete_edge(edge).values()) for edge in chosen]
     return ProtectionResult(
         algorithm=algorithm,
         motif=problem.motif.name,
         budget=budget,
         protectors=tuple(chosen),
-        similarity_trace=tuple(trace),
+        similarity_trace=tuple(similarity_trace(initial, killed)),
         initial_similarity=problem.initial_similarity(),
         runtime_seconds=stopwatch.elapsed(),
         extra={"seed": seed if not isinstance(seed, random.Random) else None},
@@ -86,11 +91,16 @@ def random_deletion(
     """RD baseline: delete ``budget`` edges sampled uniformly from the graph.
 
     Target links are already absent (phase 1), so the sample is drawn from
-    the phase-1 edge set.  ``state`` optionally supplies a prepared coverage
-    state to trace the deletions on (avoids rebuilding one from the index).
+    the phase-1 edge set — as the edge-id range of the index's
+    :class:`~repro.graphs.indexed.IndexedGraph`, whose ids number the
+    phase-1 edges in ``edge_sort_key`` order, so no edge tuples are
+    materialised or sorted (and a snapshot-restored session's lazy
+    ``Graph`` views stay unbuilt).  ``state`` optionally supplies a
+    prepared coverage state to trace the deletions on (avoids rebuilding
+    one from the index).
     """
-    candidates = list(problem.phase1_graph.edges())
-    return _run_random_baseline(problem, budget, candidates, "RD", seed, state=state)
+    edges = problem.build_index().indexed_graph.number_of_edges()
+    return _run_random_baseline(problem, budget, range(edges), "RD", seed, state)
 
 
 def random_target_subgraph_deletion(
@@ -99,12 +109,10 @@ def random_target_subgraph_deletion(
     """RDT baseline: delete ``budget`` edges sampled from target subgraphs.
 
     The candidate pool is the union of all edges participating in at least
-    one target subgraph — taken from the index in its deterministic
-    ``edge_sort_key`` order, so no re-sort (and no hash-order hazard) is
-    needed.  If the pool is smaller than the budget every pool edge is
-    deleted.
+    one target subgraph — taken from the index as edge ids in their
+    deterministic ``edge_sort_key`` order, so no re-sort (and no
+    hash-order hazard) is needed.  If the pool is smaller than the budget
+    every pool edge is deleted.
     """
-    candidates = problem.build_index().candidate_edge_list()
-    return _run_random_baseline(
-        problem, budget, candidates, "RDT", seed, deterministic_order=True, state=state
-    )
+    pool = problem.build_index().candidate_edge_ids()
+    return _run_random_baseline(problem, budget, pool, "RDT", seed, state)

@@ -17,9 +17,9 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.core.budget import make_budget_division
-from repro.core.engines import CoverageEngine, EngineLike, make_engine
+from repro.core.engines import CoverageEngine, EngineLike, MarginalGainEngine, make_engine
 from repro.core.model import ProtectionResult, TPPProblem
-from repro.core.selection import Stopwatch, edge_sort_key
+from repro.core.selection import Stopwatch, edge_sort_key, similarity_trace
 from repro.exceptions import BudgetError
 from repro.graphs.graph import Edge
 
@@ -66,14 +66,52 @@ def ct_greedy(
         algorithm = f"{algorithm}:{budget_division.upper()}"
 
     allocation: Dict[Edge, List[Edge]] = {target: [] for target in problem.targets}
+    if isinstance(gain_engine, CoverageEngine) and gain_engine.has_drivers:
+        # the loop of _select, in one native call
+        initial = gain_engine.total_similarity()
+        protectors, charged, killed = gain_engine.drive_scored_pairs(
+            budget, constant, problem.targets, division, within=False
+        )
+        for target, edge in zip(charged, protectors):
+            allocation[target].append(edge)
+        trace = similarity_trace(initial, killed)
+    else:
+        protectors, trace = _select(
+            gain_engine, problem.targets, division, budget, constant, allocation
+        )
+
+    return ProtectionResult(
+        algorithm=algorithm,
+        motif=problem.motif.name,
+        budget=budget,
+        protectors=tuple(protectors),
+        similarity_trace=tuple(trace),
+        initial_similarity=problem.initial_similarity(),
+        budget_division=dict(division),
+        allocation={t: tuple(edges) for t, edges in allocation.items()},
+        runtime_seconds=stopwatch.elapsed(),
+        extra={"engine": gain_engine.name},
+    )
+
+
+def _select(
+    gain_engine: MarginalGainEngine,
+    targets: Tuple[Edge, ...],
+    division: Mapping[Edge, int],
+    budget: int,
+    constant: int,
+    allocation: Dict[Edge, List[Edge]],
+) -> Tuple[List[Edge], List[int]]:
+    """The cross-target greedy loop; fills ``allocation`` and returns the
+    protectors and the similarity trace."""
     exhausted: Set[Edge] = {
-        target for target in problem.targets if division.get(target, 0) == 0
+        target for target in targets if division.get(target, 0) == 0
     }
     protectors: List[Edge] = []
     trace: List[int] = [gain_engine.total_similarity()]
 
     while True:
-        active_targets = [t for t in problem.targets if t not in exhausted]
+        active_targets = [t for t in targets if t not in exhausted]
         if not active_targets or len(protectors) >= budget:
             break
         # the argmax over (active target, candidate edge) pairs scored
@@ -109,16 +147,4 @@ def ct_greedy(
         trace.append(gain_engine.total_similarity())
         if len(allocation[target]) >= division.get(target, 0):
             exhausted.add(target)
-
-    return ProtectionResult(
-        algorithm=algorithm,
-        motif=problem.motif.name,
-        budget=budget,
-        protectors=tuple(protectors),
-        similarity_trace=tuple(trace),
-        initial_similarity=problem.initial_similarity(),
-        budget_division=dict(division),
-        allocation={t: tuple(edges) for t, edges in allocation.items()},
-        runtime_seconds=stopwatch.elapsed(),
-        extra={"engine": gain_engine.name},
-    )
+    return protectors, trace

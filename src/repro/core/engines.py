@@ -35,13 +35,16 @@ incremental counterparts so SGB/CT/WT share one fast path.  In particular
 ``best_scored_pair`` — the argmax of the MLBT score ``Δ_t^p`` over
 ``(target, edge)`` pairs — is answered by the array kernel from per-target
 lazy max-heaps over the per-(edge, target) counter matrix, which is what
-makes the CT/WT greedy steps sublinear in the candidate count.
+makes the CT/WT greedy steps sublinear in the candidate count.  On the
+native kernel :class:`CoverageEngine` goes one step further: its
+``drive_top_gain`` / ``drive_scored_pairs`` run a whole SGB / CT / WT
+selection in one C call (``has_drivers`` tells the runners when).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.model import TPPProblem
 from repro.core.selection import argmax_edge, edge_sort_key
@@ -99,6 +102,16 @@ class MarginalGainEngine(ABC):
     def is_fully_protected(self) -> bool:
         """Return whether all target subgraphs are already broken."""
         return self.total_similarity() == 0
+
+    def commit_many(self, edges: Sequence[Edge]) -> List[int]:
+        """Commit ``edges`` in order; return how many target subgraphs each
+        deletion broke (the similarity trace's per-step drops)."""
+        killed: List[int] = []
+        for edge in edges:
+            before = self.total_similarity()
+            self.commit(edge)
+            killed.append(before - self.total_similarity())
+        return killed
 
     # ------------------------------------------------------------------
     # batched queries (generic full-scan defaults; engines may override
@@ -292,11 +305,54 @@ class CoverageEngine(MarginalGainEngine):
         self._deleted.add(edge)
         return self._state.delete_edge(edge)
 
+    def commit_many(self, edges: Sequence[Edge]) -> List[int]:
+        if self._state_kind != "array":
+            return super().commit_many(edges)
+        edges = [canonical_edge(*edge) for edge in edges]
+        self._deleted.update(edges)
+        return self._state.kill_sequence(edges)
+
     def total_similarity(self) -> int:
         return self._state.total_similarity()
 
     def similarity_of(self, target: Edge) -> int:
         return self._state.similarity_of(target)
+
+    # ------------------------------------------------------------------
+    # whole-selection drivers (native array kernel only)
+    # ------------------------------------------------------------------
+    @property
+    def has_drivers(self) -> bool:
+        """Whether whole SGB/CT/WT selections run in one native call
+        (:meth:`drive_top_gain`, :meth:`drive_scored_pairs`).  True on the
+        array state with the native kernel; the runners' Python loops
+        serve every other engine and kernel."""
+        return self._state_kind == "array" and self._state.has_drivers
+
+    def drive_top_gain(self, budget: int) -> Tuple[List[Edge], List[int]]:
+        """Commit SGB-Greedy's selection; see
+        :meth:`CoverageState.drive_top_gain
+        <repro.motifs.coverage.CoverageState.drive_top_gain>`."""
+        edges, killed = self._state.drive_top_gain(budget)
+        self._deleted.update(edges)
+        return edges, killed
+
+    def drive_scored_pairs(
+        self,
+        budget: int,
+        constant: int,
+        targets: Sequence[Edge],
+        quotas: Mapping[Edge, int],
+        within: bool,
+    ) -> Tuple[List[Edge], List[Edge], List[int]]:
+        """Commit a CT-/WT-Greedy selection; see
+        :meth:`CoverageState.drive_scored_pairs
+        <repro.motifs.coverage.CoverageState.drive_scored_pairs>`."""
+        edges, charged, killed = self._state.drive_scored_pairs(
+            budget, constant, targets, quotas, within
+        )
+        self._deleted.update(edges)
+        return edges, charged, killed
 
     # ------------------------------------------------------------------
     # batched queries: kernel fast paths

@@ -13,7 +13,7 @@ multi-local-budget variants) and how long the selection took.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -455,6 +455,31 @@ class ProtectionResult:
             f"used={self.budget_used} s: {self.initial_similarity} -> "
             f"{self.final_similarity} ({self.runtime_seconds:.3f}s)"
         )
+
+    def reproducible_fields(self) -> Dict[str, object]:
+        """Return every field but the ones that vary between equal solves.
+
+        Drops ``runtime_seconds`` and, from a service result's
+        ``extra["service"]`` metadata, the timing and kernel echoes
+        (``solve_seconds``, ``build_seconds``, ``kernel``).  Two solves of
+        the same request on the numpy and the native kernel return equal
+        dictionaries.
+        """
+        extra = dict(self.extra)
+        service = extra.pop("service", None)
+        values: Dict[str, object] = {
+            item.name: getattr(self, item.name)
+            for item in fields(self)
+            if item.name not in ("runtime_seconds", "extra")
+        }
+        values["extra"] = extra
+        if isinstance(service, Mapping):
+            values["service"] = {
+                key: value
+                for key, value in service.items()
+                if key not in ("solve_seconds", "build_seconds", "kernel")
+            }
+        return values
 
     # ------------------------------------------------------------------
     # serialization (JSON-friendly: edge tuples become 2-element lists)

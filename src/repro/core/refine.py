@@ -21,9 +21,13 @@ state:
   deterministic and never worse than SGB-Greedy.
 
 The search runs entirely on array-kernel coverage states (cheap ``copy()``,
-heap-backed ``top_gain_edges``); the chosen sequence is then committed into
-the caller's engine so the similarity trace is produced by the same
-evaluation strategy the caller asked for.
+heap-backed ``top_gain_edges``).  The greedy pass runs once: it pauses
+``depth`` picks before the budget, where a ``copy()`` of its state becomes
+the search root, and its final state is the incumbent.  The chosen
+sequence is then committed into the caller's engine in one batch
+(:meth:`~repro.core.engines.MarginalGainEngine.commit_many`) so the
+similarity trace is produced by the same evaluation strategy the caller
+asked for.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.engines import CoverageEngine, EngineLike, make_engine
 from repro.core.model import ProtectionResult, TPPProblem
-from repro.core.selection import Stopwatch
+from repro.core.selection import Stopwatch, similarity_trace
 from repro.exceptions import BudgetError
 from repro.graphs.graph import Edge
 from repro.motifs.enumeration import CoverageState
@@ -94,38 +98,32 @@ def sgb_greedy_bb(
         "SGB-Greedy-R+BB" if isinstance(gain_engine, CoverageEngine) else "SGB-Greedy+BB"
     )
 
-    origin = _search_state(problem, gain_engine)
+    # phase 1: plain greedy on a private copy of the engine's state, paused
+    # ``tail`` picks before the budget to copy the branch-and-bound root
+    work = _search_state(problem, gain_engine)
+    tail = min(depth, budget)
+    greedy = _greedy_picks(work, budget - tail)
+    root: Optional[CoverageState] = None
+    if tail and len(greedy) == budget - tail:
+        root = work.copy()
+        greedy += _greedy_picks(work, tail)
 
-    # phase 1: plain greedy on a throwaway copy of the search state
-    greedy: List[Edge] = []
-    work = origin.copy()
-    while len(greedy) < budget:
-        best = work.top_gain_edge()
-        if best is None:
-            break
-        edge, _ = best
-        work.delete_edge(edge)
-        greedy.append(edge)
-
-    # phase 2: branch and bound over the last ``depth`` picks.  Skipped when
+    # phase 2: branch and bound over the last ``tail`` picks.  Skipped when
     # greedy stopped early — then the greedy state ran out of positive-gain
     # candidates, i.e. the targets are as protected as this budget allows.
     chosen = list(greedy)
     nodes = 0
     improved = False
-    if depth > 0 and budget > 0 and len(greedy) == budget:
-        tail = min(depth, len(greedy))
-        prefix = greedy[: len(greedy) - tail]
+    if root is not None and len(greedy) == budget:
+        prefix = greedy[: budget - tail]
         suffix, nodes, improved = _refine_tail(
-            origin, prefix, greedy[len(greedy) - tail :], shortlist
+            root, greedy[budget - tail :], work.total_similarity(), shortlist
         )
         chosen = prefix + suffix
 
     # commit the refined sequence into the caller's engine for the trace
-    trace: List[int] = [gain_engine.total_similarity()]
-    for edge in chosen:
-        gain_engine.commit(edge)
-        trace.append(gain_engine.total_similarity())
+    initial = gain_engine.total_similarity()
+    trace = similarity_trace(initial, gain_engine.commit_many(chosen))
 
     return ProtectionResult(
         algorithm=algorithm,
@@ -163,24 +161,35 @@ def _search_state(problem: TPPProblem, gain_engine) -> CoverageState:
     return problem.build_index().new_state()
 
 
+def _greedy_picks(state: CoverageState, budget: int) -> List[Edge]:
+    """Delete up to ``budget`` maximum-gain edges from ``state``; return them."""
+    if state.has_drivers:
+        return state.drive_top_gain(budget)[0]
+    picks: List[Edge] = []
+    while len(picks) < budget:
+        best = state.top_gain_edge()
+        if best is None:
+            break
+        state.delete_edge(best[0])
+        picks.append(best[0])
+    return picks
+
+
 def _refine_tail(
-    origin: CoverageState,
-    prefix: List[Edge],
+    root: CoverageState,
     greedy_suffix: List[Edge],
+    greedy_similarity: int,
     shortlist: int,
 ) -> Tuple[List[Edge], int, bool]:
     """Branch-and-bound search for the best ``len(greedy_suffix)`` picks
-    after ``prefix``; returns ``(best suffix, nodes explored, improved)``.
+    from ``root``; ``greedy_similarity`` is what the greedy suffix leaves.
+    Returns ``(best suffix, nodes explored, improved)``.
     """
-    root = origin.copy()
-    root.delete_edges(prefix)
     root_similarity = root.total_similarity()
 
     # incumbent: the greedy suffix (always reachable as the chain of first
     # children, so the search result can never be worse)
-    incumbent_state = root.copy()
-    incumbent_state.delete_edges(greedy_suffix)
-    best_broken = root_similarity - incumbent_state.total_similarity()
+    best_broken = root_similarity - greedy_similarity
     best_suffix: Optional[List[Edge]] = None
 
     tail = len(greedy_suffix)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, Optional, Tuple
+from itertools import accumulate
+from operator import sub
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.graphs.graph import Edge, edge_sort_key
 
-__all__ = ["argmax_edge", "edge_sort_key", "Stopwatch"]
+__all__ = ["argmax_edge", "edge_sort_key", "similarity_trace", "Stopwatch"]
 
 
 def argmax_edge(
@@ -28,6 +30,13 @@ def argmax_edge(
     if best_edge is None:
         return None
     return best_edge, best_score
+
+
+def similarity_trace(initial: int, killed: Iterable[int]) -> List[int]:
+    """Return ``[s_0, s_1, ...]`` where ``s_i`` is ``initial`` minus the
+    instances the first ``i`` deletions killed (one entry per deletion
+    plus the initial similarity)."""
+    return list(accumulate(killed, sub, initial=initial))
 
 
 class Stopwatch:

@@ -15,7 +15,9 @@ Three evaluation strategies are available (see :mod:`repro.core.engines`):
   heap instead of being found by a full candidate sweep.  This is CELF taken
   to its limit — with exact incremental gains no re-evaluation is ever
   needed — and it selects the identical protector sequence as the plain
-  sweep (tie-breaking included);
+  sweep (tie-breaking included).  On the native kernel the whole
+  selection runs in one C call (:meth:`CoverageEngine.drive_top_gain`);
+  the Python pop-commit loop serves the numpy kernel;
 * ``engine="coverage-set"`` is the original hash-set implementation, kept as
   the reference; its lazy mode uses the classic CELF stale-upper-bound heap.
 
@@ -29,7 +31,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.engines import CoverageEngine, EngineLike, MarginalGainEngine, make_engine
 from repro.core.model import ProtectionResult, TPPProblem
-from repro.core.selection import Stopwatch, argmax_edge, edge_sort_key
+from repro.core.selection import Stopwatch, argmax_edge, edge_sort_key, similarity_trace
 from repro.exceptions import BudgetError, EngineError
 from repro.graphs.graph import Edge
 
@@ -86,7 +88,11 @@ def sgb_greedy(
     protectors: List[Edge] = []
     trace: List[int] = [gain_engine.total_similarity()]
 
-    if lazy and gain_engine.supports_fast_top:
+    if lazy and isinstance(gain_engine, CoverageEngine) and gain_engine.has_drivers:
+        # the whole pop-commit loop below, in one native call
+        protectors, killed = gain_engine.drive_top_gain(budget)
+        trace = similarity_trace(trace[0], killed)
+    elif lazy and gain_engine.supports_fast_top:
         # the kernel's heap holds *exact* live gains: pop, commit, repeat
         while len(protectors) < budget:
             best = gain_engine.top_gain_edge()

@@ -20,9 +20,9 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.budget import make_budget_division
-from repro.core.engines import CoverageEngine, EngineLike, make_engine
+from repro.core.engines import CoverageEngine, EngineLike, MarginalGainEngine, make_engine
 from repro.core.model import ProtectionResult, TPPProblem
-from repro.core.selection import Stopwatch
+from repro.core.selection import Stopwatch, similarity_trace
 from repro.exceptions import BudgetError
 from repro.graphs.graph import Edge
 
@@ -79,9 +79,46 @@ def wt_greedy(
         raise BudgetError("target_order must be a permutation of the problem targets")
 
     allocation: Dict[Edge, List[Edge]] = {target: [] for target in problem.targets}
+    if isinstance(gain_engine, CoverageEngine) and gain_engine.has_drivers:
+        # the loop of _select, in one native call
+        initial = gain_engine.total_similarity()
+        protectors, charged, killed = gain_engine.drive_scored_pairs(
+            budget, constant, order, division, within=True
+        )
+        for target, edge in zip(charged, protectors):
+            allocation[target].append(edge)
+        trace = similarity_trace(initial, killed)
+    else:
+        protectors, trace = _select(
+            gain_engine, order, division, budget, constant, allocation
+        )
+
+    return ProtectionResult(
+        algorithm=algorithm,
+        motif=problem.motif.name,
+        budget=budget,
+        protectors=tuple(protectors),
+        similarity_trace=tuple(trace),
+        initial_similarity=problem.initial_similarity(),
+        budget_division=dict(division),
+        allocation={t: tuple(edges) for t, edges in allocation.items()},
+        runtime_seconds=stopwatch.elapsed(),
+        extra={"engine": gain_engine.name},
+    )
+
+
+def _select(
+    gain_engine: MarginalGainEngine,
+    order: Tuple[Edge, ...],
+    division: Mapping[Edge, int],
+    budget: int,
+    constant: int,
+    allocation: Dict[Edge, List[Edge]],
+) -> Tuple[List[Edge], List[int]]:
+    """The within-target greedy loop; fills ``allocation`` and returns the
+    protectors and the similarity trace."""
     protectors: List[Edge] = []
     trace: List[int] = [gain_engine.total_similarity()]
-
     for target in order:
         sub_budget = division.get(target, 0)
         for _ in range(sub_budget):
@@ -102,16 +139,4 @@ def wt_greedy(
             protectors.append(best_edge)
             allocation[target].append(best_edge)
             trace.append(gain_engine.total_similarity())
-
-    return ProtectionResult(
-        algorithm=algorithm,
-        motif=problem.motif.name,
-        budget=budget,
-        protectors=tuple(protectors),
-        similarity_trace=tuple(trace),
-        initial_similarity=problem.initial_similarity(),
-        budget_division=dict(division),
-        allocation={t: tuple(edges) for t, edges in allocation.items()},
-        runtime_seconds=stopwatch.elapsed(),
-        extra={"engine": gain_engine.name},
-    )
+    return protectors, trace

@@ -18,7 +18,13 @@ per-target pair validation behind
     ``edge_sort_key`` tie-breaks.  Heaps are (key, id) pairs under the
     same total order heapq applies to its tuples, and every pair is
     distinct, so the validated pop sequence depends only on heap
-    contents — never on the internal array layout.
+    contents — never on the internal array layout.  The native kernel
+    also runs whole selections in one call
+    (:meth:`CoverageState.drive_top_gain` for SGB-Greedy,
+    :meth:`CoverageState.drive_scored_pairs` for CT-/WT-Greedy) and
+    batched deletions (:meth:`CoverageState.kill_sequence`); its heaps
+    live in one buffer that :meth:`CoverageState.prepare_heaps` fills
+    ahead of time and :meth:`CoverageState.copy` memcpys.
 
 The selector is resolved at construction (``kernel="auto"`` prefers
 native when loadable; ``REPRO_NATIVE=0`` forces the fallback; an
@@ -27,7 +33,8 @@ explicit ``kernel="native"`` raises
 differential property tests pin both kernels against each other and
 against :class:`SetCoverageState`, the original hash-set formulation.
 
-Native states ``copy()`` and pickle like numpy ones: the ctypes handle,
+Native states ``copy()`` (heaps included, so a copy of a prepared
+prototype starts warm) and pickle like numpy ones: the ctypes handle,
 cached buffer pointers and native heaps are process-local runtime, so
 ``__getstate__`` drops them and ``__setstate__`` re-resolves — a worker
 process without the toolchain transparently degrades to the numpy
@@ -38,12 +45,24 @@ the same validated tops).
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
 from repro._native import load_kernel, resolve_kernel
-from repro.graphs.graph import Edge, canonical_edge
+from repro.exceptions import NativeKernelError
+from repro.graphs.graph import Edge, canonical_edge, edge_sort_key
 from repro.graphs.indexed import NP_LONG
 
 if TYPE_CHECKING:
@@ -64,45 +83,36 @@ InstanceId = int
 _SCALAR_KILL_THRESHOLD = 32
 
 #: Process-local attributes of :class:`CoverageState` that never pickle:
-#: memoryviews, the ctypes kernel handle, cached buffer pointers,
-#: scratch arrays and the native heap arrays.  ``__setstate__`` rebuilds
-#: them all via ``_init_runtime``.
+#: memoryviews, the ctypes kernel handle, the packed state context and its
+#: scratch, and the native heaps.  ``__setstate__`` rebuilds them all via
+#: ``_init_runtime`` (the heaps lazily, on first use).
 _RUNTIME_ATTRS = (
     "_gain_mv",
     "_et_count_mv",
     "_alive_mv",
     "_alive_by_tidx_mv",
     "_native",
-    "_nheap",
-    "_npair_heaps",
-    "_gain_ptr",
-    "_et_indptr_ptr",
-    "_et_tidx_ptr",
-    "_et_count_ptr",
-    "_out_scratch",
+    "_ctx",
+    "_ctx_mv",
+    "_ctx_ptr",
+    "_scratch",
+    "_broken_mv",
+    "_touched_mv",
     "_out_mv",
     "_out_ptr",
-    "_broken_scratch",
-    "_broken_mv",
-    "_touched_scratch",
-    "_touched_mv",
-    "_tidx_scratch",
-    "_tidx_mv",
-    "_tidx_ptr",
-    "_npair_keys_tab",
-    "_npair_ids_tab",
-    "_npair_sizes",
-    "_npair_sizes_mv",
-    "_npair_keys_tab_ptr",
-    "_npair_ids_tab_ptr",
-    "_npair_sizes_ptr",
-    "_pair_build_scratch",
+    "_query_mv",
+    "_query_ptr",
+    "_heaps",
+    "_arena_weight",
     "_edge_id_memo",
-    "_kill_ctx",
-    "_kill_ctx_ptr",
-    "_pair_ctx",
-    "_pair_ctx_ptr",
 )
+
+# Slots of the native state context (the full layout is documented at the
+# top of coverage_kernel.c).
+_CTX_HEAP_KEYS = 14
+_CTX_HEAP_SIZE = 16
+_CTX_ARENA_KEYS = 17
+_CTX_ARENA_OFFSETS = 19
 
 
 def _flat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -181,9 +191,10 @@ class CoverageState:
         memoryviews over the live counters (scalar reads in the numpy
         heap-validation loops yield plain ints, no numpy boxing), and —
         when the resolved kernel is native — the ctypes handle, the
-        scratch arrays and the cached ``ndarray.ctypes.data`` pointers
-        (the buffers never reallocate, so the raw addresses are stable
-        for the lifetime of this state).
+        scratch arrays and the packed state context of raw
+        ``ndarray.ctypes.data`` pointers (the buffers never reallocate,
+        so the addresses are stable for the lifetime of this state).
+        The native heaps start unbuilt; ``copy`` adopts the source's.
         """
         self._gain_mv = memoryview(self._gain)
         self._et_count_mv = memoryview(self._et_count)
@@ -194,12 +205,11 @@ class CoverageState:
         # skips the canonicalise + dict lookup on a memo hit (ids are an
         # immutable property of the index — the memo can never go stale)
         self._edge_id_memo: Optional[Tuple[Edge, int]] = None
-        # native heap arrays: [keys, ids, keys_ptr, ids_ptr, size]
-        self._nheap: Optional[List[object]] = None
-        # per-target (keys, ids) array pairs; the raw pointers and live
-        # sizes live in the tidx-indexed tables below so one C call can
-        # validate many targets
-        self._npair_heaps: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        # native heaps: one buffer holding the global heap's (keys, ids),
+        # the pair arena's (keys, ids) and the arena's per-target sizes;
+        # allocated on first use, memcpy'd by copy()
+        self._heaps: Optional[np.ndarray] = None
+        self._arena_weight: Optional[int] = None
         if self._kernel != "native":
             self._native = None
             return
@@ -212,39 +222,23 @@ class CoverageState:
             return
         index = self._index
         n_targets = len(index._targets)
-        self._gain_ptr = self._gain.ctypes.data
-        self._et_indptr_ptr = index._et_indptr.ctypes.data
-        self._et_tidx_ptr = index._et_tidx.ctypes.data
-        self._et_count_ptr = self._et_count.ctypes.data
-        self._out_scratch = np.zeros(3, dtype=NP_LONG)
-        self._out_mv = memoryview(self._out_scratch)
-        self._out_ptr = self._out_scratch.ctypes.data
         # kill-walk scratch: `broken` is kept all-zero between calls (the
         # delete path re-zeroes exactly the touched entries); `touched`
-        # carries the touched target indices back (slot 0 is the count)
-        self._broken_scratch = np.zeros(n_targets, dtype=NP_LONG)
-        self._broken_mv = memoryview(self._broken_scratch)
-        self._touched_scratch = np.zeros(n_targets + 1, dtype=NP_LONG)
-        self._touched_mv = memoryview(self._touched_scratch)
-        # query scratch + per-target heap tables for pair_validate_many:
-        # raw data pointers stored as integers (long holds a pointer on
-        # every platform this loads on), size -1 marks "heap not built"
-        self._tidx_scratch = np.zeros(n_targets, dtype=NP_LONG)
-        self._tidx_mv = memoryview(self._tidx_scratch)
-        self._tidx_ptr = self._tidx_scratch.ctypes.data
-        self._npair_keys_tab = np.zeros(n_targets, dtype=NP_LONG)
-        self._npair_ids_tab = np.zeros(n_targets, dtype=NP_LONG)
-        self._npair_sizes = np.full(n_targets, -1, dtype=NP_LONG)
-        self._npair_sizes_mv = memoryview(self._npair_sizes)
-        self._npair_keys_tab_ptr = self._npair_keys_tab.ctypes.data
-        self._npair_ids_tab_ptr = self._npair_ids_tab.ctypes.data
-        self._npair_sizes_ptr = self._npair_sizes.ctypes.data
-        # (counts, keys, ids) staging arrays for the C heap builder;
-        # allocated on the first build — most states never query pairs
-        self._pair_build_scratch = None
-        # packed pointer contexts (one ctypes argument per hot call; the
-        # layouts are documented next to the C entry points)
-        self._kill_ctx = np.array(
+        # carries the touched target indices back (slot 0 is the count);
+        # `out` receives single query results; `query` carries the target
+        # indices of a best_scored_pair call
+        self._scratch = np.zeros(3 * n_targets + 4, dtype=NP_LONG)
+        broken = self._scratch[:n_targets]
+        touched = self._scratch[n_targets : 2 * n_targets + 1]
+        out = self._scratch[2 * n_targets + 1 : 2 * n_targets + 4]
+        query = self._scratch[2 * n_targets + 4 :]
+        self._broken_mv = memoryview(broken)
+        self._touched_mv = memoryview(touched)
+        self._out_mv = memoryview(out)
+        self._out_ptr = out.ctypes.data
+        self._query_mv = memoryview(query)
+        self._query_ptr = query.ctypes.data
+        self._ctx = np.array(
             [
                 index._edge_indptr.ctypes.data,
                 index._edge_inst_ids.ctypes.data,
@@ -253,30 +247,100 @@ class CoverageState:
                 index._inst_slot.ctypes.data,
                 index._inst_target_idx.ctypes.data,
                 self._alive.ctypes.data,
-                self._gain_ptr,
-                self._et_count_ptr,
+                self._gain.ctypes.data,
+                self._et_count.ctypes.data,
                 self._alive_by_tidx.ctypes.data,
-                self._broken_scratch.ctypes.data,
-                self._touched_scratch.ctypes.data,
+                broken.ctypes.data,
+                touched.ctypes.data,
+                index._et_indptr.ctypes.data,
+                index._et_tidx.ctypes.data,
+                0,
+                0,
+                -1,  # global heap not built
+                0,
+                0,
+                0,
+                0,
+                n_targets,
             ],
             dtype=NP_LONG,
         )
-        self._kill_ctx_ptr = self._kill_ctx.ctypes.data
-        self._pair_ctx = np.array(
-            [
-                self._npair_keys_tab_ptr,
-                self._npair_ids_tab_ptr,
-                self._npair_sizes_ptr,
-                self._tidx_ptr,
-                self._gain_ptr,
-                self._et_indptr_ptr,
-                self._et_tidx_ptr,
-                self._et_count_ptr,
-                self._out_ptr,
-            ],
+        self._ctx_mv = memoryview(self._ctx)
+        self._ctx_ptr = self._ctx.ctypes.data
+
+    def prepare_heaps(self, constant: int) -> None:
+        """Build the heaps the greedy selections read, ahead of the first query.
+
+        On the native kernel this builds the global max-gain heap and the
+        pair heap of every target for the MLBT constant ``constant`` (one C
+        call each).  A state prepared this way is what a session keeps as
+        its pristine prototype, so every :meth:`copy` starts with warm
+        heaps: a memcpy instead of a rebuild per query.  Heap keys are
+        stale upper bounds, so warm heaps validate to exactly the tops
+        freshly built ones would.  The numpy kernel keeps building its
+        heaps lazily; there this is a no-op.
+        """
+        if self._native is not None:
+            self._ensure_heap_native()
+            self._ensure_arena_native(constant - 1)
+
+    def _ensure_heaps_buffer_native(self) -> None:
+        """Allocate the heap buffer and point the context into it.
+
+        Buffer layout: global heap keys and ids (one slot per candidate
+        edge), pair arena keys and ids (one slot per counter-matrix
+        entry), then the arena's per-target sizes.
+        """
+        if self._heaps is not None:
+            return
+        index = self._index
+        self._heaps = np.empty(
+            2 * len(index._candidate_id_array)
+            + 2 * len(index._et_tidx)
+            + len(index._targets),
             dtype=NP_LONG,
         )
-        self._pair_ctx_ptr = self._pair_ctx.ctypes.data
+        self._bind_heaps_native()
+
+    def _bind_heaps_native(self) -> None:
+        """Write the heap buffer's and the index layout's addresses into the
+        context."""
+        index = self._index
+        candidates = len(index._candidate_id_array)
+        entries = len(index._et_tidx)
+        item = NP_LONG.itemsize
+        base = self._heaps.ctypes.data
+        layout = index._pair_layout.ctypes.data
+        ctx = self._ctx_mv
+        ctx[_CTX_HEAP_KEYS] = base
+        ctx[_CTX_HEAP_KEYS + 1] = base + item * candidates
+        ctx[_CTX_ARENA_KEYS] = base + item * 2 * candidates
+        ctx[_CTX_ARENA_KEYS + 1] = base + item * (2 * candidates + entries)
+        ctx[_CTX_ARENA_OFFSETS] = layout
+        ctx[_CTX_ARENA_OFFSETS + 1] = base + item * (2 * candidates + 2 * entries)
+
+    def _ensure_heap_native(self) -> None:
+        """Build the global max-gain heap unless it already exists."""
+        if self._ctx_mv[_CTX_HEAP_SIZE] >= 0:
+            return
+        self._ensure_heaps_buffer_native()
+        candidates = self._index._candidate_id_array
+        self._native.heap_build(
+            self._ctx_ptr, candidates.ctypes.data, len(candidates)
+        )
+
+    def _ensure_arena_native(self, weight: int) -> None:
+        """Key the pair arena to ``weight`` = C - 1: unless it already is,
+        build every target's pair heap in one pass over the counter
+        matrix."""
+        if self._arena_weight == weight:
+            return
+        self._ensure_heaps_buffer_native()
+        candidates = self._index._candidate_id_array
+        self._native.pair_arena_build(
+            self._ctx_ptr, weight, candidates.ctypes.data, len(candidates)
+        )
+        self._arena_weight = weight
 
     # ------------------------------------------------------------------
     # queries
@@ -463,14 +527,11 @@ class CoverageState:
         kernels validate through the same algorithm; the native one runs
         it in C over flat (key, id) arrays.
         """
-        if constant != self._pair_constant:
-            self._pair_heaps = {}
-            if self._npair_heaps:
-                self._npair_heaps = {}
-                self._npair_sizes.fill(-1)
-            self._pair_constant = constant
         if self._native is not None:
             return self._best_scored_pair_native(targets, constant - 1)
+        if constant != self._pair_constant:
+            self._pair_heaps = {}
+            self._pair_constant = constant
         index = self._index
         best: Optional[Tuple[int, int, Edge]] = None  # (key, edge_id, target)
         for target in targets:
@@ -525,71 +586,29 @@ class CoverageState:
     ) -> Optional[Tuple[int, Edge, Edge]]:
         """Native twin of the pair sweep: every queried heap is validated and
         the cross-target arg-max selected in a single C call."""
+        self._ensure_arena_native(weight)
         index = self._index
         position = index._target_position
-        if len(targets) > len(self._tidx_scratch):  # duplicated query targets
-            self._tidx_scratch = np.zeros(len(targets), dtype=NP_LONG)
-            self._tidx_mv = memoryview(self._tidx_scratch)
-            self._tidx_ptr = self._tidx_scratch.ctypes.data
-            self._pair_ctx[3] = self._tidx_ptr
-        sizes = self._npair_sizes_mv
-        tidx_mv = self._tidx_mv
-        n = 0
-        for target in targets:
-            tidx = position(target)
-            if sizes[tidx] < 0:
-                self._build_pair_heap_native(tidx, weight)
-            tidx_mv[n] = tidx
-            n += 1
-        self._native.pair_validate_many(self._pair_ctx_ptr, n, weight)
-        out = self._out_mv
-        if out[2] < 0:
+        if len(targets) <= len(self._query_mv):
+            query = self._query_mv
+            for slot, target in enumerate(targets):
+                query[slot] = position(target)
+            query_ptr = self._query_ptr
+        else:  # duplicated query targets
+            tidxs = np.fromiter(
+                (position(target) for target in targets), dtype=NP_LONG
+            )
+            query_ptr = tidxs.ctypes.data
+        found = self._native.pair_validate_many(
+            self._ctx_ptr, query_ptr, len(targets), weight, self._out_ptr
+        )
+        if found < 0:
             return None
+        out = self._out_mv
         edge_id = out[1]
         edge = index._indexed.edge_at(edge_id)
         self._edge_id_memo = (edge, edge_id)
-        return out[0], targets[out[2]], edge
-
-    def _build_pair_heap_native(self, tidx: int, weight: int) -> None:
-        """Build one target's native pair heap and register it in the
-        tidx-indexed pointer/size tables.
-
-        The own-gain counting walk and the heapify both run in C over a
-        reused scratch triple (an all-zero per-edge counter plus key/id
-        staging arrays); only the used prefix is copied out.  The heap
-        holds the same (key, id) multiset the numpy path builds, which is
-        all the validated pop order depends on.
-        """
-        index = self._index
-        start, end = index._target_ranges[tidx]
-        scratch = self._pair_build_scratch
-        if scratch is None:
-            n_edges = len(self._gain)
-            scratch = (
-                np.zeros(n_edges, dtype=NP_LONG),
-                np.empty(n_edges, dtype=NP_LONG),
-                np.empty(n_edges, dtype=NP_LONG),
-            )
-            self._pair_build_scratch = scratch
-        counts, keys_scratch, ids_scratch = scratch
-        size = self._native.pair_heap_build(
-            index._inst_indptr.ctypes.data,
-            index._inst_edge_ids.ctypes.data,
-            self._alive.ctypes.data,
-            int(start),
-            int(end),
-            self._gain_ptr,
-            weight,
-            counts.ctypes.data,
-            keys_scratch.ctypes.data,
-            ids_scratch.ctypes.data,
-        )
-        keys = keys_scratch[:size].copy()
-        ids = ids_scratch[:size].copy()
-        self._npair_heaps[tidx] = (keys, ids)
-        self._npair_keys_tab[tidx] = keys.ctypes.data
-        self._npair_ids_tab[tidx] = ids.ctypes.data
-        self._npair_sizes[tidx] = size
+        return out[0], targets[found], edge
 
     def top_gain_edge(self) -> Optional[Tuple[Edge, int]]:
         """Return the ``(edge, gain)`` with maximal live gain, or ``None``.
@@ -630,30 +649,13 @@ class CoverageState:
 
     def _top_gain_edge_native(self) -> Optional[Tuple[Edge, int]]:
         """Native twin of the numpy :meth:`top_gain_edge` validation loop."""
-        heap = self._nheap
-        native = self._native
-        if heap is None:
-            candidates = self._index._candidate_id_array
-            gains = self._gain[candidates]
-            mask = gains > 0
-            keys = -gains[mask]
-            ids = candidates[mask]
-            size = len(ids)
-            keys_ptr = keys.ctypes.data
-            ids_ptr = ids.ctypes.data
-            native.heap_init(keys_ptr, ids_ptr, size)
-            heap = [keys, ids, keys_ptr, ids_ptr, size]
-            self._nheap = heap
-        heap[4] = native.top_validate(
-            heap[2], heap[3], heap[4], self._gain_ptr, self._out_ptr
-        )
-        out = self._out_mv
-        if out[0] < 0:
+        self._ensure_heap_native()
+        edge_id = self._native.top_validate(self._ctx_ptr, self._out_ptr)
+        if edge_id < 0:
             return None
-        edge_id = out[0]
         edge = self._index._indexed.edge_at(edge_id)
         self._edge_id_memo = (edge, edge_id)
-        return edge, out[1]
+        return edge, self._out_mv[1]
 
     def top_gain_edges(self, k: int) -> List[Tuple[Edge, int]]:
         """Return up to ``k`` distinct edges with the highest live gains.
@@ -678,31 +680,20 @@ class CoverageState:
         return result
 
     def _top_gain_edges_native(self, k: int) -> List[Tuple[Edge, int]]:
-        """Native twin of :meth:`top_gain_edges`: pop validated tops, push back.
-
-        Pushing back exactly what was popped keeps the heap size within
-        its allocated capacity, and preserves the heap contents as a
-        multiset — so the next validated pop sequence is unchanged.
-        """
-        native = self._native
-        popped: List[Tuple[int, int]] = []
-        result: List[Tuple[Edge, int]] = []
-        out = self._out_mv
-        while len(result) < k:
-            top = self._top_gain_edge_native()  # validates the root
-            if top is None:
-                break
-            edge, value = top
-            edge_id = out[0]
-            heap = self._nheap
-            heap[4] = native.heap_pop(heap[2], heap[3], heap[4])
-            popped.append((-value, edge_id))
-            result.append((edge, value))
-        heap = self._nheap
-        if heap is not None:
-            for key, edge_id in popped:
-                heap[4] = native.heap_push(heap[2], heap[3], heap[4], key, edge_id)
-        return result
+        """Native twin of :meth:`top_gain_edges`: one C call pops the ``k``
+        validated tops and pushes them back, so the heap keeps its
+        contents as a multiset and the next validated pop sequence is
+        unchanged."""
+        self._ensure_heap_native()
+        out = np.empty(2 * k, dtype=NP_LONG)
+        found = self._native.top_many(
+            self._ctx_ptr, k, out.ctypes.data, out[k:].ctypes.data
+        )
+        edge_at = self._index._indexed.edge_at
+        return [
+            (edge_at(edge_id), value)
+            for edge_id, value in zip(out[:found].tolist(), out[k : k + found].tolist())
+        ]
 
     # ------------------------------------------------------------------
     # mutation
@@ -770,7 +761,7 @@ class CoverageState:
         the way out, which is the all-zero invariant the C walk relies on
         instead of clearing ``n_targets`` slots per call.
         """
-        killed = self._native.kill_instances(self._kill_ctx_ptr, edge_id)
+        killed = self._native.kill_instances(self._ctx_ptr, edge_id)
         if not killed:
             return {}
         self._alive_total -= killed
@@ -827,8 +818,179 @@ class CoverageState:
                 total[target] = total.get(target, 0) + count
         return total
 
+    def kill_sequence(self, edges: Iterable[Edge]) -> List[int]:
+        """Delete ``edges`` in order; return how many instances each killed.
+
+        The batched form of :meth:`delete_edge` for callers that only need
+        the similarity trace (``s`` drops by exactly these counts): the
+        random baselines, a replayed protector sequence, SGB+BB's commit.
+        Edges outside the graph are recorded and kill nothing.  The native
+        kernel runs the whole sequence in one C call.
+        """
+        edges = [canonical_edge(*edge) for edge in edges]
+        if self._native is not None:
+            return self._kill_sequence_native(edges)
+        killed: List[int] = []
+        for edge in edges:
+            before = self._alive_total
+            self.delete_edge(edge)
+            killed.append(before - self._alive_total)
+        return killed
+
+    def _kill_sequence_native(self, edges: List[Edge]) -> List[int]:
+        find_edge_id = self._index._indexed.find_edge_id
+        ids = np.empty(2 * len(edges), dtype=NP_LONG)
+        for position, edge in enumerate(edges):
+            edge_id = find_edge_id(*edge)
+            ids[position] = -1 if edge_id is None else edge_id
+        killed = ids[len(edges) :]
+        self._alive_total -= self._native.kill_many(
+            self._ctx_ptr, ids.ctypes.data, len(edges), killed.ctypes.data
+        )
+        self._deleted_edges.extend(edges)
+        return killed.tolist()
+
+    # ------------------------------------------------------------------
+    # whole-selection drivers (native kernel only)
+    # ------------------------------------------------------------------
+    @property
+    def has_drivers(self) -> bool:
+        """Whether :meth:`drive_top_gain` / :meth:`drive_scored_pairs` are
+        available: they run a whole greedy selection in one native call,
+        so only the native kernel has them.  The greedy runners fall back
+        to their own Python loops (the numpy path) otherwise."""
+        return self._native is not None
+
+    def drive_top_gain(self, budget: int) -> Tuple[List[Edge], List[int]]:
+        """Run SGB-Greedy's selection: up to ``budget`` times, delete the
+        maximum-gain edge (ties toward the smallest ``edge_sort_key``).
+
+        Returns the deleted edges and the instances each one killed; the
+        selection stops early once no edge breaks an alive instance.
+        Exactly the sequence a :meth:`top_gain_edge` / :meth:`delete_edge`
+        loop produces, in one native call.
+
+        Raises
+        ------
+        NativeKernelError
+            If this state runs the numpy kernel (see :attr:`has_drivers`).
+        """
+        if self._native is not None:
+            return self._drive_top_gain_native(budget)
+        raise NativeKernelError("drive_top_gain needs the native kernel")
+
+    def _drive_top_gain_native(self, budget: int) -> Tuple[List[Edge], List[int]]:
+        self._ensure_heap_native()
+        # every deletion kills >= 1 alive instance, which bounds the picks
+        cap = max(0, min(budget, self._alive_total))
+        out = np.empty(2 * cap, dtype=NP_LONG)
+        picks = self._native.sgb_drive(
+            self._ctx_ptr, cap, out.ctypes.data, out[cap:].ctypes.data
+        )
+        killed = out[cap : cap + picks].tolist()
+        return self._record_picks(out[:picks].tolist(), killed), killed
+
+    def drive_scored_pairs(
+        self,
+        budget: int,
+        constant: int,
+        targets: Sequence[Edge],
+        quotas: Mapping[Edge, int],
+        within: bool,
+    ) -> Tuple[List[Edge], List[Edge], List[int]]:
+        """Run a CT-Greedy (``within=False``) or WT-Greedy (``within=True``)
+        selection under the per-target sub-budgets ``quotas``.
+
+        Pairs are scored with the integer MLBT key of
+        :meth:`best_scored_pair` for ``constant``.  Across targets,
+        ``targets`` is the problem's target order; each step deletes the
+        best pair's edge over every target with sub-budget left, charged to
+        that target, and when no such target has an own-gain edge the
+        maximum-gain edge is charged to the target with the most
+        sub-budget left (ties toward the smallest ``edge_sort_key``).
+        Within targets, ``targets`` is the processing order: each target
+        deletes its own best pairs until its sub-budget is spent or it has
+        none left.  At most ``budget`` deletions happen in total.
+
+        Returns the deleted edges, the target each was charged to and the
+        instances each killed — exactly what the runners' Python loops
+        over :meth:`best_scored_pair` produce, in one native call.
+
+        Raises
+        ------
+        NativeKernelError
+            If this state runs the numpy kernel (see :attr:`has_drivers`).
+        """
+        if self._native is not None:
+            return self._drive_scored_pairs_native(
+                budget, constant - 1, targets, quotas, within
+            )
+        raise NativeKernelError("drive_scored_pairs needs the native kernel")
+
+    def _drive_scored_pairs_native(
+        self,
+        budget: int,
+        weight: int,
+        targets: Sequence[Edge],
+        quotas: Mapping[Edge, int],
+        within: bool,
+    ) -> Tuple[List[Edge], List[Edge], List[int]]:
+        index = self._index
+        position = index._target_position
+        n_targets = len(index._targets)
+        order = np.fromiter(
+            (position(target) for target in targets), dtype=NP_LONG, count=len(targets)
+        )
+        # quota (per target index), used counters, then the three outputs
+        cap = max(0, min(budget, self._alive_total))
+        work = np.zeros(2 * n_targets + 3 * cap, dtype=NP_LONG)
+        for tidx, target in zip(order.tolist(), targets):
+            work[tidx] = quotas.get(target, 0)
+        self._ensure_arena_native(weight)
+        rank = None
+        if not within:
+            self._ensure_heap_native()
+            rank = index._pair_layout[n_targets + 1 :].ctypes.data
+        outputs = 2 * n_targets
+        picks = self._native.pair_drive(
+            self._ctx_ptr,
+            weight,
+            cap,
+            int(within),
+            order.ctypes.data,
+            len(order),
+            work.ctypes.data,
+            rank,
+            work[n_targets:].ctypes.data,
+            work[outputs:].ctypes.data,
+            work[outputs + cap :].ctypes.data,
+            work[outputs + 2 * cap :].ctypes.data,
+        )
+        ids = work[outputs : outputs + picks].tolist()
+        charged = work[outputs + cap : outputs + cap + picks].tolist()
+        killed = work[outputs + 2 * cap : outputs + 2 * cap + picks].tolist()
+        targets_by_tidx = index.targets
+        return (
+            self._record_picks(ids, killed),
+            [targets_by_tidx[tidx] for tidx in charged],
+            killed,
+        )
+
+    def _record_picks(self, edge_ids: List[int], killed: List[int]) -> List[Edge]:
+        """Log a driver's deletions; return them as edges."""
+        edge_at = self._index._indexed.edge_at
+        edges = [edge_at(edge_id) for edge_id in edge_ids]
+        self._deleted_edges.extend(edges)
+        self._alive_total -= sum(killed)
+        return edges
+
     def copy(self) -> "CoverageState":
-        """Return an independent copy of this state (same underlying index)."""
+        """Return an independent copy of this state (same underlying index).
+
+        Heaps are copied too (stale entries are safe: gains only decrease
+        and pops re-validate), so a copy of a :meth:`prepare_heaps`'d
+        prototype starts warm.
+        """
         clone = CoverageState.__new__(CoverageState)
         clone._index = self._index
         clone._alive = self._alive.copy()
@@ -837,7 +999,6 @@ class CoverageState:
         clone._gain = self._gain.copy()
         clone._et_count = self._et_count.copy()
         clone._deleted_edges = list(self._deleted_edges)
-        # stale entries are safe: gains only decrease, pops re-validate
         clone._heap = list(self._heap) if self._heap is not None else None
         clone._pair_heaps = {
             tidx: list(heap) for tidx, heap in self._pair_heaps.items()
@@ -845,20 +1006,15 @@ class CoverageState:
         clone._pair_constant = self._pair_constant
         clone._kernel = self._kernel
         clone._init_runtime()
-        if clone._native is not None:
-            if self._nheap is not None:
-                clone._nheap = _copy_native_heap(self._nheap)
-            for tidx, (keys, ids) in self._npair_heaps.items():
-                keys = keys.copy()
-                ids = ids.copy()
-                clone._npair_heaps[tidx] = (keys, ids)
-                clone._npair_keys_tab[tidx] = keys.ctypes.data
-                clone._npair_ids_tab[tidx] = ids.ctypes.data
-                clone._npair_sizes[tidx] = self._npair_sizes[tidx]
+        if clone._native is not None and self._heaps is not None:
+            clone._heaps = self._heaps.copy()
+            clone._bind_heaps_native()
+            clone._ctx[_CTX_HEAP_SIZE] = self._ctx[_CTX_HEAP_SIZE]
+            clone._arena_weight = self._arena_weight
         return clone
 
-    # the process-local runtime (memoryviews, ctypes handle, cached buffer
-    # pointers, native heaps) does not pickle; __setstate__ rebuilds it.
+    # the process-local runtime (memoryviews, ctypes handle, packed
+    # context, native heaps) does not pickle; __setstate__ rebuilds it.
     # Native heaps are pure derived caches — the states on the other side
     # lazily rebuild them to the same validated tops.
     def __getstate__(self) -> Dict[str, object]:
@@ -872,13 +1028,6 @@ class CoverageState:
         # a native-backed state may land in a process without a compiler or
         # prebuilt artifact; _init_runtime degrades it to the numpy kernel
         self._init_runtime()
-
-
-def _copy_native_heap(heap: List[object]) -> List[object]:
-    """Deep-copy one native heap (fresh arrays, recomputed pointers)."""
-    keys = heap[0].copy()
-    ids = heap[1].copy()
-    return [keys, ids, keys.ctypes.data, ids.ctypes.data, heap[4]]
 
 
 class SetCoverageState:

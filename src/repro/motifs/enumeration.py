@@ -71,7 +71,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 import numpy as np
 
 from repro.exceptions import MotifError
-from repro.graphs.graph import Edge, Graph, canonical_edge
+from repro.graphs.graph import Edge, Graph, canonical_edge, edge_sort_key
 from repro.graphs.indexed import ASSEMBLY_MODES, NP_LONG, IndexedGraph
 from repro.motifs.base import MotifInstance, MotifPattern, coerce_motif
 from repro.motifs.coverage import (  # noqa: F401  (re-exported API)
@@ -259,6 +259,20 @@ class TargetSubgraphIndex:
         self._et_indptr_l.frombytes(self._et_indptr.tobytes())
         self._et_tidx_l = array("l")
         self._et_tidx_l.frombytes(self._et_tidx.tobytes())
+
+        # the native kernel's per-target layout (coverage_kernel.c):
+        # [counter-matrix entry offsets (n_targets + 1) | rank in
+        # edge_sort_key order (n_targets)]
+        n_targets = len(self._targets)
+        layout = np.zeros(2 * n_targets + 1, dtype=NP_LONG)
+        np.cumsum(
+            np.bincount(self._et_tidx, minlength=n_targets),
+            out=layout[1 : n_targets + 1],
+        )
+        targets = self._targets
+        ranked = sorted(range(n_targets), key=lambda i: edge_sort_key(targets[i]))
+        layout[n_targets + 1 :][ranked] = np.arange(n_targets)
+        self._pair_layout = layout
 
         # edge -> frozenset(instance ids), materialised lazily on first use:
         # only the tuple-level accessors and SetCoverageState need it (the
@@ -634,6 +648,11 @@ class TargetSubgraphIndex:
         """
         edge_at = self._indexed.edge_at
         return [edge_at(edge_id) for edge_id in self._candidate_ids]
+
+    def candidate_edge_ids(self) -> Tuple[int, ...]:
+        """Return the candidate edges' dense ids (of :attr:`indexed_graph`),
+        ascending — the id form of :meth:`candidate_edge_list`."""
+        return self._candidate_ids
 
     def candidate_edges_of(self, target: Edge) -> Set[Edge]:
         """Return the edges participating in some instance of ``target``."""

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from repro.core.engines import CoverageEngine, MarginalGainEngine
 from repro.core.model import ProtectionResult, TPPProblem
-from repro.core.selection import Stopwatch
+from repro.core.selection import Stopwatch, similarity_trace
 from repro.exceptions import ExperimentError
 from repro.graphs.graph import Edge, Graph, canonical_edge, edge_sort_key
 from repro.motifs.base import MotifPattern
@@ -54,6 +54,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.motifs.updates import DeltaOutcome, EdgeDelta
 
 __all__ = ["ProtectionService"]
+
+
+def _new_prototype(
+    problem: TPPProblem, index: TargetSubgraphIndex, kernel: Optional[str]
+) -> CoverageState:
+    """Return the pristine state a session copies per query, with its heaps
+    built for the problem's constant so every copy starts warm."""
+    prototype = index.new_state(kernel=kernel)
+    prototype.prepare_heaps(max(problem.constant, 1))
+    return prototype
 
 
 class ProtectionService:
@@ -123,7 +133,8 @@ class ProtectionService:
         self._kernel_request = kernel
         # reprolint: guarded-by(_lock)
         self._index: TargetSubgraphIndex = problem.build_index()
-        self._prototype = self._index.new_state(kernel=kernel)  # reprolint: guarded-by(_lock)
+        # reprolint: guarded-by(_lock)
+        self._prototype = _new_prototype(problem, self._index, kernel)
         self._build_seconds = stopwatch.elapsed()  # reprolint: guarded-by(_lock)
         self._set_prototype: Optional[SetCoverageState] = None  # reprolint: guarded-by(_lock)
         # reprolint: guarded-by(_lock)
@@ -494,11 +505,8 @@ class ProtectionService:
                 )
                 return session.evaluate_trace(protectors)
         state = prototype.copy()
-        trace = [state.total_similarity()]
-        for protector in protectors:
-            state.delete_edge(canonical_edge(*protector))
-            trace.append(state.total_similarity())
-        return tuple(trace)
+        initial = state.total_similarity()
+        return tuple(similarity_trace(initial, state.kill_sequence(protectors)))
 
     # ------------------------------------------------------------------
     # live updates
@@ -545,7 +553,9 @@ class ProtectionService:
                 delta, constant=constant
             )
             build_seconds = stopwatch.elapsed()
-            new_prototype = outcome.index.new_state(kernel=self._kernel_request)
+            new_prototype = _new_prototype(
+                new_problem, outcome.index, self._kernel_request
+            )
             changed = set(outcome.changed_targets)
             with self._lock:
                 self._problem = new_problem

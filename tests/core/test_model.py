@@ -126,3 +126,25 @@ class TestProtectionResult:
 
     def test_summary_mentions_algorithm(self):
         assert "SGB-Greedy-R" in self.make_result().summary()
+
+    def test_reproducible_fields_drop_timings_and_kernel(self):
+        service = {"request": "x", "solve_seconds": 0.1, "build_seconds": 2.0}
+        fast = self.make_result(
+            runtime_seconds=0.01,
+            extra={"engine": "coverage", "service": {**service, "kernel": "native"}},
+        )
+        slow = self.make_result(
+            runtime_seconds=5.0,
+            extra={
+                "engine": "coverage",
+                "service": {**service, "solve_seconds": 9.0, "kernel": "numpy"},
+            },
+        )
+        assert fast.reproducible_fields() == slow.reproducible_fields()
+        fields = fast.reproducible_fields()
+        assert "runtime_seconds" not in fields
+        assert fields["protectors"] == ((0, 4), (0, 5))
+        assert fields["extra"] == {"engine": "coverage"}
+        assert fields["service"] == {"request": "x"}
+        other = self.make_result(protectors=((0, 4),))
+        assert other.reproducible_fields() != self.make_result().reproducible_fields()
