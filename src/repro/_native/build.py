@@ -253,6 +253,11 @@ class NativeKernel:
         pair_drive.restype = _c_long
         self.pair_drive = pair_drive
 
+        mt_shuffle = lib.repro_mt_shuffle
+        mt_shuffle.argtypes = [_c_void_p, _c_void_p, _c_long]
+        mt_shuffle.restype = _c_long
+        self.mt_shuffle = mt_shuffle
+
 
 _LOAD_LOCK = threading.Lock()
 _LOADED: Optional[NativeKernel] = None

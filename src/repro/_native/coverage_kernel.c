@@ -19,6 +19,8 @@
  *   repro_sgb_drive          a whole SGB-Greedy selection
  *   repro_pair_drive         a whole CT-Greedy (across) or WT-Greedy
  *                            (within) selection
+ *   repro_mt_shuffle         CPython's seeded random.shuffle over an id
+ *                            array (RD / RDT; no ctx)
  *
  * Heap representation: a binary min-heap over parallel (keys, ids)
  * arrays ordered lexicographically by (key, id) — exactly the total
@@ -56,6 +58,8 @@
  * keyed by the SHA-256 of this source) or ahead of time as the optional
  * setuptools extension; both load paths bind the same symbols.
  */
+
+#include <stdint.h>
 
 #if defined(_WIN32)
 #define REPRO_EXPORT __declspec(dllexport)
@@ -570,4 +574,80 @@ REPRO_EXPORT long repro_pair_drive(long *ctx, long weight, long budget,
         picks++;
     }
     return picks;
+}
+
+/* ------------------------------------------------------------------ */
+/* seeded shuffle (RD / RDT)                                           */
+/* ------------------------------------------------------------------ */
+
+/* CPython's MT19937 (Modules/_randommodule.c genrand_uint32): N = 624,
+ * M = 397.  `mt` holds the 624 state words, `*index` the position of the
+ * next word (N: regenerate first). */
+#define MT_N 624
+#define MT_M 397
+
+static uint32_t mt_next(uint32_t *mt, long *index)
+{
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y;
+    if (*index >= MT_N) {
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        *index = 0;
+    }
+    y = mt[(*index)++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* Shuffle `ids[0..n)` in place exactly as CPython's
+ * `random.Random.shuffle` does: for i = n-1 down to 1, swap ids[i] with
+ * ids[j], j = _randbelow(i + 1) — draws of getrandbits(k), k the bit
+ * length of i + 1, i.e. the top k bits of one 32-bit output, rejected
+ * while >= i + 1.  `state` is `Random.getstate()[1]`: 624 words and the
+ * position; it is advanced in place, so writing it back with setstate
+ * leaves the generator where Python's shuffle would.  Returns 0, or -1
+ * (nothing touched) for a malformed state or n >= 2**32, where one
+ * draw would need more than one word. */
+REPRO_EXPORT long repro_mt_shuffle(long long *state, long *ids, long n)
+{
+    uint32_t mt[MT_N];
+    long index = (long) state[MT_N], i;
+    int k = 0;
+    if (index < 0 || index > MT_N || (unsigned long long) n > 0xffffffffULL)
+        return -1;
+    for (i = 0; i < MT_N; i++)
+        mt[i] = (uint32_t) state[i];
+    for (i = n - 1; i >= 1; i--) {
+        unsigned long long bound = (unsigned long long) i + 1;
+        uint32_t r;
+        long swap;
+        if (k == 0)
+            while ((bound >> k) != 0)
+                k++;
+        else if ((bound >> (k - 1)) == 0)
+            k--;
+        do {
+            r = mt_next(mt, &index) >> (32 - k);
+        } while (r >= bound);
+        swap = ids[i];
+        ids[i] = ids[r];
+        ids[r] = swap;
+    }
+    for (i = 0; i < MT_N; i++)
+        state[i] = (long long) mt[i];
+    state[MT_N] = index;
+    return 0;
 }

@@ -18,15 +18,18 @@ same deletions across processes and hash seeds.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Union
+from typing import Optional, Union
 
+import numpy as np
+
+from repro._native import load_kernel
 from repro.core.model import ProtectionResult, TPPProblem
 from repro.core.selection import Stopwatch, similarity_trace
 from repro.exceptions import BudgetError
-from repro.graphs.graph import Edge
+from repro.graphs.indexed import NP_LONG
 from repro.motifs.enumeration import CoverageState, SetCoverageState
 
-__all__ = ["random_deletion", "random_target_subgraph_deletion"]
+__all__ = ["random_deletion", "random_target_subgraph_deletion", "shuffle_ids"]
 
 RandomLike = Union[int, random.Random, None]
 
@@ -41,10 +44,73 @@ def _rng(seed: RandomLike) -> random.Random:
     return random.Random(seed)
 
 
+#: Whether the native shuffle reproduced ``random.shuffle`` here (checked
+#: once, on the first shuffle that could use it; ``None`` = not yet).
+_native_shuffle_ok: Optional[bool] = None
+
+
+def _native_shuffle(ids: np.ndarray, rng: random.Random) -> bool:
+    """Shuffle ``ids`` in place with the C port of ``rng.shuffle``.
+
+    The kernel advances a copy of the generator's MT19937 state, which is
+    written back with ``setstate``, so ``rng`` ends where Python's own
+    shuffle would leave it.  Returns ``False`` (nothing touched) without a
+    native kernel, for a subclass (it may override the draws), or for a
+    state layout the port does not know.
+    """
+    kernel = load_kernel()
+    if (
+        kernel is None
+        or type(rng) is not random.Random
+        or ids.dtype != NP_LONG
+        or not ids.flags.c_contiguous
+    ):
+        return False
+    version, internal, gauss = rng.getstate()
+    if version != 3 or len(internal) != 625:
+        return False
+    state = np.array(internal, dtype=np.int64)
+    if kernel.mt_shuffle(state.ctypes.data, ids.ctypes.data, len(ids)) != 0:
+        return False
+    rng.setstate((version, tuple(state.tolist()), gauss))
+    return True
+
+
+def _native_shuffle_matches() -> bool:
+    """One-time check that the port gives this interpreter's permutation
+    and end state (1,000 ids: 1,000+ draws cross a 624-word refill)."""
+    expected, python_rng = list(range(1000)), random.Random(20200420)
+    python_rng.shuffle(expected)
+    ids, native_rng = np.arange(1000, dtype=NP_LONG), random.Random(20200420)
+    return (
+        _native_shuffle(ids, native_rng)
+        and ids.tolist() == expected
+        and native_rng.getstate() == python_rng.getstate()
+    )
+
+
+def shuffle_ids(ids: np.ndarray, rng: random.Random) -> None:
+    """Shuffle the ``NP_LONG`` array ``ids`` in place as ``rng.shuffle``
+    would shuffle ``ids.tolist()``, leaving ``rng`` in the same state.
+
+    The native kernel runs the shuffle in C; ``random.shuffle`` is the
+    fallback when there is no kernel, or when the one-time check that the
+    port matches this interpreter failed.
+    """
+    global _native_shuffle_ok
+    if _native_shuffle_ok is None and load_kernel() is not None:
+        _native_shuffle_ok = _native_shuffle_matches()
+    if _native_shuffle_ok and _native_shuffle(ids, rng):
+        return
+    order = ids.tolist()
+    rng.shuffle(order)
+    ids[:] = order
+
+
 def _run_random_baseline(
     problem: TPPProblem,
     budget: int,
-    pool: Iterable[int],
+    pool: np.ndarray,
     algorithm: str,
     seed: RandomLike,
     state: StateLike,
@@ -56,22 +122,23 @@ def _run_random_baseline(
     ``Random.shuffle``'s permutation depends only on the pool length and
     the RNG, and ids ascend in ``edge_sort_key`` order, so the sample is
     the one a shuffle of the sorted edge list picks — without building
-    an edge tuple per pool entry.
+    an edge tuple per pool entry.  The id prefix goes straight to the
+    state's batched kill walk.
     """
     if budget < 0:
         raise BudgetError(f"budget must be >= 0, got {budget}")
     stopwatch = Stopwatch()
     index = problem.build_index()
-    ids = list(pool)
-    _rng(seed).shuffle(ids)
-    edge_at = index.indexed_graph.edge_at
-    chosen = [edge_at(edge_id) for edge_id in ids[:budget]]
+    shuffle_ids(pool, _rng(seed))
+    sample = pool[:budget]
     if state is None:
         state = index.new_state()
     initial = state.total_similarity()
     if isinstance(state, CoverageState):
-        killed = state.kill_sequence(chosen)
+        chosen, killed = state.kill_id_sequence(sample)
     else:
+        edge_at = index.indexed_graph.edge_at
+        chosen = [edge_at(edge_id) for edge_id in sample.tolist()]
         killed = [sum(state.delete_edge(edge).values()) for edge in chosen]
     return ProtectionResult(
         algorithm=algorithm,
@@ -100,7 +167,8 @@ def random_deletion(
     one from the index).
     """
     edges = problem.build_index().indexed_graph.number_of_edges()
-    return _run_random_baseline(problem, budget, range(edges), "RD", seed, state)
+    pool = np.arange(edges, dtype=NP_LONG)
+    return _run_random_baseline(problem, budget, pool, "RD", seed, state)
 
 
 def random_target_subgraph_deletion(
@@ -114,5 +182,5 @@ def random_target_subgraph_deletion(
     hash-order hazard) is needed.  If the pool is smaller than the budget
     every pool edge is deleted.
     """
-    pool = problem.build_index().candidate_edge_ids()
+    pool = np.array(problem.build_index().candidate_edge_ids(), dtype=NP_LONG)
     return _run_random_baseline(problem, budget, pool, "RDT", seed, state)

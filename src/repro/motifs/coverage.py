@@ -822,10 +822,11 @@ class CoverageState:
         """Delete ``edges`` in order; return how many instances each killed.
 
         The batched form of :meth:`delete_edge` for callers that only need
-        the similarity trace (``s`` drops by exactly these counts): the
-        random baselines, a replayed protector sequence, SGB+BB's commit.
-        Edges outside the graph are recorded and kill nothing.  The native
-        kernel runs the whole sequence in one C call.
+        the similarity trace (``s`` drops by exactly these counts): a
+        replayed protector sequence, SGB+BB's commit (the random baselines
+        use :meth:`kill_id_sequence`).  Edges outside the graph are
+        recorded and kill nothing.  The native kernel runs the whole
+        sequence in one C call.
         """
         edges = [canonical_edge(*edge) for edge in edges]
         if self._native is not None:
@@ -839,16 +840,39 @@ class CoverageState:
 
     def _kill_sequence_native(self, edges: List[Edge]) -> List[int]:
         find_edge_id = self._index._indexed.find_edge_id
-        ids = np.empty(2 * len(edges), dtype=NP_LONG)
+        ids = np.empty(len(edges), dtype=NP_LONG)
         for position, edge in enumerate(edges):
             edge_id = find_edge_id(*edge)
             ids[position] = -1 if edge_id is None else edge_id
-        killed = ids[len(edges) :]
+        return self._kill_ids_native(ids, edges)
+
+    def _kill_ids_native(self, ids: np.ndarray, edges: List[Edge]) -> List[int]:
+        """One ``repro_kill_many`` call over the contiguous ``NP_LONG``
+        ``ids`` (the ids of ``edges``, -1 for an edge outside the graph)."""
+        killed = np.empty(len(ids), dtype=NP_LONG)
         self._alive_total -= self._native.kill_many(
-            self._ctx_ptr, ids.ctypes.data, len(edges), killed.ctypes.data
+            self._ctx_ptr, ids.ctypes.data, len(ids), killed.ctypes.data
         )
         self._deleted_edges.extend(edges)
         return killed.tolist()
+
+    def kill_id_sequence(self, edge_ids: np.ndarray) -> Tuple[List[Edge], List[int]]:
+        """:meth:`kill_sequence` by dense edge id: delete the edges
+        ``edge_ids`` (an ``NP_LONG`` array of ids of this state's graph)
+        names, in order; return the edges and how many instances each
+        killed.  The native kernel walks the ids as given, with no edge
+        lookup per entry (the random baselines' shuffled id prefix)."""
+        indexed = self._index._indexed
+        if len(edge_ids) and not (
+            0 <= edge_ids.min() and edge_ids.max() < indexed.number_of_edges()
+        ):
+            raise IndexError("edge id out of range for this state's graph")
+        edge_at = indexed.edge_at
+        edges = [edge_at(edge_id) for edge_id in edge_ids.tolist()]
+        if self._native is not None:
+            ids = np.ascontiguousarray(edge_ids, dtype=NP_LONG)
+            return edges, self._kill_ids_native(ids, edges)
+        return edges, self.kill_sequence(edges)
 
     # ------------------------------------------------------------------
     # whole-selection drivers (native kernel only)

@@ -41,13 +41,14 @@ same result payload.
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 import time
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Optional, Set, Tuple, Union
+from typing import Dict, Mapping, Optional, Set, Tuple, Union
 
 from repro.core.model import ProtectionResult
 
@@ -69,7 +70,7 @@ from repro.server.protocol import (
 )
 from repro.service import ProtectionRequest, ProtectionService
 
-__all__ = ["ProtectionServer", "ServerHandle", "serve_in_background"]
+__all__ = ["ProtectionServer", "ServerHandle", "serve_in_background", "solve_response"]
 
 
 #: How long a graceful stop waits for queued solves before cancelling.
@@ -182,7 +183,8 @@ class ProtectionServer:
 
         ``*.tppdelta`` files apply through
         :meth:`ProtectionService.apply_delta` (the parent content hash is
-        verified first; a stale delta raises
+        verified first, the recorded result hash before the swap; a stale
+        or mislabelled delta raises
         :class:`~repro.exceptions.SnapshotMismatchError` and leaves the
         live session untouched).  Anything else loads as a session bundle
         (zip) or a plain index snapshot and replaces the session
@@ -194,7 +196,13 @@ class ProtectionServer:
         head = path.read_bytes()[:12] if path.exists() else b""
         if head == b"REPROTPPDLTA":
             snapshot = load_delta_snapshot(path)
-            self.current_service().apply_delta(snapshot)
+            # apply_delta verified the updated index against the recorded
+            # result hash before the swap: that hash is the new live one
+            outcome = self.current_service().apply_delta(snapshot)
+            with self._lock:
+                self._hashed_index = outcome.index
+                self._content_hash = snapshot.result_content_hash
+                self._reloads += 1
             return self._reloaded("delta-applied")
         if zipfile.is_zipfile(path):
             fresh = ProtectionService.from_session(path)
@@ -269,11 +277,6 @@ class ProtectionServer:
         return self._reloaded("swapped")
 
     def _reloaded(self, action: str) -> Dict[str, object]:
-        with self._lock:
-            if action == "delta-applied":
-                self._hashed_index = None
-                self._content_hash = ""
-                self._reloads += 1
         service = self.current_service()
         return {
             "status": "reloaded",
@@ -355,14 +358,18 @@ class ProtectionServer:
                 pass
         if self._asyncio_server is not None:
             self._asyncio_server.close()
-            await self._asyncio_server.wait_closed()
         deadline = time.monotonic() + DRAIN_SECONDS
         while self._pending and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
+        # an idle keep-alive connection waits in read_request with no
+        # timeout, and Server.wait_closed waits for every open connection
+        # (CPython >= 3.12.1): end the connections before waiting on it
         for task in list(self._connections):
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
+        if self._asyncio_server is not None:
+            await self._asyncio_server.wait_closed()
         self._executor.shutdown(wait=False)
 
     async def _poll_loop(self) -> None:
@@ -499,16 +506,15 @@ class ProtectionServer:
             return json_response(
                 500, {"error": f"{type(error).__name__}: {error}"}
             )
-        body = solved.result.to_dict()
-        extra = dict(body.get("extra", {}))
-        extra["server"] = {
-            "coalesced": coalesced,
-            "queue_seconds": round(solved.queue_seconds, 6),
-            "solve_seconds": round(solved.solve_seconds, 6),
-            "content_hash": solved.content_hash,
-        }
-        body["extra"] = extra
-        return json_response(200, body)
+        return solve_response(
+            solved.result,
+            {
+                "coalesced": coalesced,
+                "queue_seconds": round(solved.queue_seconds, 6),
+                "solve_seconds": round(solved.solve_seconds, 6),
+                "content_hash": solved.content_hash,
+            },
+        )
 
     def _submit(
         self, query: ProtectionRequest
@@ -666,6 +672,42 @@ class _Solved:
         self.queue_seconds = queue_seconds
         self.solve_seconds = solve_seconds
         self.content_hash = content_hash
+
+
+def solve_response(result: ProtectionResult, server: Mapping[str, object]) -> bytes:
+    """The ``/solve`` answer, byte for byte ``json_response(200, body)``
+    of ``body = result.to_dict()`` with ``server`` as ``extra["server"]``.
+
+    Built straight from the result, keys in sorted order, without the
+    ``to_dict`` tree: each edge section (protectors, the CT/WT allocation,
+    the budget division) is one ``json.dumps`` of its tuples, which
+    encode exactly as the lists ``to_dict`` would make of them.
+    """
+    dumps = json.dumps
+    extra = dict(result.extra)
+    extra["server"] = server
+    parts = ['{"algorithm": ', dumps(result.algorithm)]
+    if result.allocation is not None:
+        parts += [', "allocation": ', dumps(list(result.allocation.items()))]
+    parts += [', "budget": ', dumps(result.budget)]
+    if result.budget_division is not None:
+        parts += [', "budget_division": ', dumps(list(result.budget_division.items()))]
+    parts += [
+        ', "extra": ',
+        dumps(extra, sort_keys=True),
+        ', "initial_similarity": ',
+        dumps(result.initial_similarity),
+        ', "motif": ',
+        dumps(result.motif),
+        ', "protectors": ',
+        dumps(result.protectors),
+        ', "runtime_seconds": ',
+        dumps(result.runtime_seconds),
+        ', "similarity_trace": ',
+        dumps(result.similarity_trace),
+        "}",
+    ]
+    return response_bytes(200, "".join(parts).encode("utf-8"))
 
 
 def _coalescing_form(query: ProtectionRequest) -> ProtectionRequest:

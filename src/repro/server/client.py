@@ -19,6 +19,9 @@ mislabelled artifact can never silently serve wrong gains.
 
 Everything here is stdlib (:mod:`http.client`); one connection per
 request keeps the client trivially thread-safe for benchmark fan-out.
+Transport failures (a refused or reset connection, and ``http.client``'s
+``IncompleteRead``, ``BadStatusLine`` or ``LineTooLong``) raise
+:class:`~repro.exceptions.ServerError`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from http.client import HTTPConnection
+from http.client import HTTPConnection, HTTPException
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 from urllib.parse import urlsplit
@@ -80,7 +83,7 @@ class ServingClient:
                 connection.request(method, path, body=body, headers=headers)
                 response = connection.getresponse()
                 data = response.read()
-            except OSError as error:
+            except (OSError, HTTPException) as error:
                 raise ServerError(
                     f"{method} {path} to {self.base_url} failed: {error}"
                 ) from error

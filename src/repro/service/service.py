@@ -37,7 +37,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.engines import CoverageEngine, MarginalGainEngine
 from repro.core.model import ProtectionResult, TPPProblem
@@ -518,11 +518,13 @@ class ProtectionService:
 
         ``delta`` is an :class:`~repro.motifs.updates.EdgeDelta` (or a
         :class:`~repro.persistence.DeltaSnapshot`, whose parent content hash
-        is verified against the live index first — a mismatch raises
-        :class:`~repro.exceptions.SnapshotMismatchError` and leaves the
-        session untouched).  The index is maintained incrementally —
-        bit-identical to a from-scratch rebuild on the updated graph (see
-        :mod:`repro.motifs.updates`) — and swapped in copy-on-write:
+        is verified against the live index first, and whose recorded
+        result content hash against the updated index before the swap — a
+        mismatch raises :class:`~repro.exceptions.SnapshotMismatchError`
+        and leaves the session untouched).  The index is maintained
+        incrementally — bit-identical to a from-scratch rebuild on the
+        updated graph (see :mod:`repro.motifs.updates`) — and swapped in
+        copy-on-write:
         queries already in flight finish on the pre-delta state, queries
         started after this returns see the updated graph, and nothing is
         ever served from a mixed state.  Subset sub-sessions are kept
@@ -540,6 +542,7 @@ class ProtectionService:
         from repro.motifs.updates import EdgeDelta
 
         with self._delta_lock:
+            verify_result: Optional[Callable[[TargetSubgraphIndex], None]] = None
             if not isinstance(delta, EdgeDelta):
                 delta_for = getattr(delta, "delta_for", None)
                 if delta_for is None:
@@ -547,11 +550,14 @@ class ProtectionService:
                         "apply_delta expects an EdgeDelta or a DeltaSnapshot, "
                         f"got {type(delta).__name__}"
                     )
+                verify_result = delta.verify_result
                 delta = delta_for(self._index)
             stopwatch = Stopwatch()
             new_problem, outcome = self._problem.apply_delta(
                 delta, constant=constant
             )
+            if verify_result is not None:
+                verify_result(outcome.index)
             build_seconds = stopwatch.elapsed()
             new_prototype = _new_prototype(
                 new_problem, outcome.index, self._kernel_request

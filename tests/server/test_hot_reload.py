@@ -17,7 +17,7 @@ import pytest
 from repro.core.model import TPPProblem
 from repro.core.sgb import sgb_greedy
 from repro.datasets.targets import sample_random_targets
-from repro.exceptions import ServerError
+from repro.exceptions import ServerError, SnapshotMismatchError
 from repro.graphs.generators import powerlaw_cluster_graph
 from repro.graphs.graph import canonical_edge
 from repro.motifs.updates import EdgeDelta
@@ -266,6 +266,74 @@ class TestDeltaReload:
             != index_content_hash(ProtectionService(problem_a).index)
         )
         del before  # the pre-swap answer is problem_a's; no assertion needed
+
+    def test_delta_reload_takes_the_verified_hash_without_rehashing(
+        self, served, problem_a, tmp_path, monkeypatch
+    ):
+        server, client = served
+        delta = make_delta(problem_a)
+        _, outcome = problem_a.apply_delta(delta)
+        delta_file = save_delta_snapshot(
+            tmp_path / "step.tppdelta", delta, problem_a.build_index(), outcome.index
+        )
+        result_hash = index_content_hash(outcome.index)
+        server.content_hash()  # the parent's hash is cached
+        hashed = []
+        monkeypatch.setattr(
+            "repro.server.app.index_content_hash",
+            lambda index: hashed.append(index) or index_content_hash(index),
+        )
+        assert client.reload(delta=delta_file)["content_hash"] == result_hash
+        assert client.stats()["content_hash"] == result_hash
+        assert hashed == []
+
+
+class TestDeltaResultVerification:
+    """A ``.tppdelta`` whose recorded result hash is wrong is refused before
+    the swap (it used to be applied and reported ``"reloaded"``)."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        graph = powerlaw_cluster_graph(300, 3, 0.5, seed=4)
+        targets = sample_random_targets(graph, 5, seed=6)
+        problem = TPPProblem(graph, targets, motif="triangle")
+        problem.build_index()
+        return problem
+
+    @pytest.fixture
+    def mislabelled(self, problem, tmp_path):
+        return save_delta_snapshot(
+            tmp_path / "mislabelled.tppdelta",
+            make_delta(problem, count=4),
+            problem.build_index(),
+            "f" * 64,
+        )
+
+    def test_reload_from_file_refuses_and_keeps_the_session(self, problem, mislabelled):
+        service = ProtectionService(problem)
+        server = ProtectionServer(service)
+        before_hash = server.content_hash()
+        before = service.solve(ProtectionRequest("SGB-Greedy", 6))
+        with pytest.raises(SnapshotMismatchError, match="result content hash"):
+            server.reload_from_file(mislabelled)
+        assert server.current_service() is service
+        assert service.deltas_applied == 0
+        assert index_content_hash(service.index) == before_hash
+        assert server.content_hash() == before_hash
+        assert server.stats()["reloads"] == 0
+        assert trace(service.solve(ProtectionRequest("SGB-Greedy", 6))) == trace(before)
+
+    def test_http_reload_is_409(self, problem, mislabelled):
+        server = ProtectionServer(ProtectionService(problem))
+        with serve_in_background(server) as handle:
+            client = ServingClient(handle.url, timeout=120.0)
+            before = client.stats()
+            with pytest.raises(ServerError, match="409"):
+                client.reload(delta=mislabelled)
+            after = client.stats()
+        assert after["content_hash"] == before["content_hash"]
+        assert after["deltas_applied"] == 0
+        assert after["index_source"] == before["index_source"]
 
 
 class TestRefusals:
