@@ -129,7 +129,7 @@ def run(args: argparse.Namespace) -> dict:
 
         # -- concurrent: the same grid under client fan-out -------------
         started = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=args.clients) as pool:
+        with ThreadPoolExecutor(args.clients) as pool:
             concurrent_runs = list(
                 pool.map(lambda request: _timed_solve(client, request), requests)
             )
@@ -157,7 +157,7 @@ def run(args: argparse.Namespace) -> dict:
             return _timed_solve(client, duplicate)
 
         started = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=args.duplicates) as pool:
+        with ThreadPoolExecutor(args.duplicates) as pool:
             initiator = pool.submit(_timed_solve, client, duplicate)
             while server.stats()["pending"] < 1 and not initiator.done():
                 time.sleep(0.0002)

@@ -2,23 +2,17 @@
 
 Measures what the session API buys: one ``(graph, targets, motif)`` instance,
 a batch of >= 20 protection queries (every registered method x several
-budgets — the shape of a Fig. 3/4 sweep), executed three ways::
+budgets — the shape of a Fig. 3/4 sweep), executed two ways::
 
     rebuild   legacy pre-service flow: a fresh TPPProblem per query, each
               direct call re-enumerates the target-subgraph index
     shared    one ProtectionService session, solve_many() serially — the
               index is built once, every query runs on a state copy
-    thread    solve_many(workers=N) thread fan-out over the shared session
 
 and reports queries/sec for each, the shared-vs-rebuild speedup (acceptance
-target: >= 5x), the thread-workers-vs-serial speedup, and whether all three
-paths produced byte-identical protector traces (the benchmark doubles as a
-differential test and exits non-zero on any disagreement).
-
-The thread fan-out can only win wall-clock when the machine actually has
-cores to fan out to; the report records ``available_cpus`` and the
-``workers_beat_serial`` flag is expected true only when more than one CPU is
-available.
+target: >= 5x), and whether both paths produced byte-identical protector
+traces (the benchmark doubles as a differential test and exits non-zero on
+any disagreement).
 
 Run with::
 
@@ -106,8 +100,8 @@ def run(args: argparse.Namespace) -> dict:
     rebuild_seconds = time.perf_counter() - started
 
     # shared-index serial: session build (once) + the whole batch on state
-    # copies; the build is included in the rebuild comparison but measured
-    # separately so the worker fan-out compares batch-to-batch
+    # copies; the build is included in the rebuild comparison and also
+    # reported on its own
     started = time.perf_counter()
     service = ProtectionService(TPPProblem(graph, targets, motif=args.motif))
     build_seconds = time.perf_counter() - started
@@ -116,22 +110,12 @@ def run(args: argparse.Namespace) -> dict:
     serial_batch_seconds = time.perf_counter() - started
     shared_seconds = build_seconds + serial_batch_seconds
 
-    started = time.perf_counter()
-    thread_results = service.solve_many(requests, workers=args.workers)
-    thread_seconds = time.perf_counter() - started
-
     def traces(results):
         return [(result.protectors, result.similarity_trace) for result in results]
 
-    traces_agree = (
-        traces(rebuild_results) == traces(shared_results) == traces(thread_results)
-    )
+    traces_agree = traces(rebuild_results) == traces(shared_results)
 
     shared_speedup = rebuild_seconds / shared_seconds if shared_seconds > 0 else float("inf")
-    workers_speedup = (
-        serial_batch_seconds / thread_seconds if thread_seconds > 0 else float("inf")
-    )
-    cpus = _available_cpus()
 
     report = {
         "kind": "service_throughput",
@@ -144,18 +128,15 @@ def run(args: argparse.Namespace) -> dict:
             "initial_similarity": initial,
             "num_requests": n,
             "methods": list(method_names()),
-            "workers": args.workers,
             "cpu_count": os.cpu_count(),
         },
-        "available_cpus": cpus,
+        "available_cpus": _available_cpus(),
         "index_build_seconds": round(build_seconds, 6),
         # per execution path: what each flow spends (re)building the index —
-        # rebuild pays it once per query, the session once in total, and
-        # thread workers share the in-process session
+        # rebuild pays it once per query, the session once in total
         "index_build_seconds_by_path": {
             "rebuild_total": round(rebuild_build_seconds, 6),
             "shared": round(build_seconds, 6),
-            "thread": 0.0,
         },
         "rebuild_seconds": round(rebuild_seconds, 6),
         "rebuild_qps": round(n / rebuild_seconds, 3),
@@ -165,14 +146,6 @@ def run(args: argparse.Namespace) -> dict:
         "shared_vs_rebuild_speedup": round(shared_speedup, 2),
         "shared_speedup_target": SHARED_SPEEDUP_TARGET,
         "shared_speedup_met": shared_speedup >= SHARED_SPEEDUP_TARGET,
-        "thread_seconds": round(thread_seconds, 6),
-        "thread_qps": round(n / thread_seconds, 3),
-        "workers_speedup": round(workers_speedup, 2),
-        "workers_beat_serial": workers_speedup > 1.0,
-        # single-core boxes pay fan-out overhead for no parallelism; the
-        # regression gate only enforces flags that were true in the
-        # committed report
-        "workers_beat_serial_expected": cpus > 1,
         "traces_agree": traces_agree,
     }
     return report
@@ -194,7 +167,6 @@ def main(argv=None) -> int:
         "per-query index rebuild the legacy flow pays clearly measurable",
     )
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument(
         "--output",
         default=str(REPO_ROOT / "BENCH_service_throughput.json"),
@@ -220,22 +192,12 @@ def main(argv=None) -> int:
         f"speedup {report['shared_vs_rebuild_speedup']:.2f}x "
         f"(target >= {SHARED_SPEEDUP_TARGET}x, met={report['shared_speedup_met']})"
     )
-    print(
-        f"  thread x{report['config']['workers']}:        {report['thread_seconds']:8.3f}s  "
-        f"({report['thread_qps']:7.2f} q/s)"
-    )
-    print(
-        f"  threads vs serial batch ({report['serial_batch_seconds']:.3f}s): "
-        f"{report['workers_speedup']:.2f}x "
-        f"(beats={report['workers_beat_serial']}, "
-        f"expected={report['workers_beat_serial_expected']})"
-    )
     by_path = report["index_build_seconds_by_path"]
     print(
         f"  index build by path: rebuild total {by_path['rebuild_total']:.3f}s, "
         f"shared {by_path['shared']:.3f}s"
     )
-    print(f"  traces agree across all three paths: {report['traces_agree']}")
+    print(f"  traces agree across both paths: {report['traces_agree']}")
     print(f"report written to {args.output}")
     return 0 if report["traces_agree"] else 1
 

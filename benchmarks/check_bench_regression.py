@@ -59,11 +59,8 @@ regression — agreement checks still apply).  For
 the service-throughput report it fails if the traces stopped agreeing, if
 the shared-vs-rebuild speedup dropped more than ``--max-regression`` below
 the committed value, or if an acceptance flag that was true in the committed
-report (``shared_speedup_met``, ``workers_beat_serial``) is no longer met —
-except that ``workers_beat_serial`` is skipped when the *fresh* run records
-``workers_beat_serial_expected: false`` (a single-CPU runner cannot show a
-parallel win; that is machine shape, not a regression).  Larger speedups and
-new methods never fail the check.
+report (``shared_speedup_met``) is no longer met.  Larger speedups and new
+methods never fail the check.
 """
 
 from __future__ import annotations
@@ -75,26 +72,12 @@ from pathlib import Path
 
 
 def _check_flags(fresh: dict, committed: dict, flags) -> list:
-    """Enforce boolean acceptance flags that were true in the committed report.
-
-    ``workers_beat_serial`` is skipped when the *fresh* run records
-    ``workers_beat_serial_expected: false`` (a single-CPU runner cannot show
-    a parallel win; that is machine shape, not a regression).
-    """
-    failures = []
-    for flag in flags:
-        if not committed.get(flag) or fresh.get(flag, False):
-            continue
-        if flag == "workers_beat_serial" and not fresh.get(
-            "workers_beat_serial_expected", True
-        ):
-            print(
-                "workers_beat_serial skipped: fresh runner reports a single "
-                "available CPU (workers_beat_serial_expected=false)"
-            )
-            continue
-        failures.append(f"{flag} was true in the committed report, now false")
-    return failures
+    """Enforce boolean acceptance flags that were true in the committed report."""
+    return [
+        f"{flag} was true in the committed report, now false"
+        for flag in flags
+        if committed.get(flag) and not fresh.get(flag, False)
+    ]
 
 
 def compare_index_build(fresh: dict, committed: dict, max_regression: float) -> list:
@@ -192,7 +175,7 @@ def compare_service(fresh: dict, committed: dict, max_regression: float) -> list
             f"(floor {floor:.2f}x)"
         )
     failures.extend(
-        _check_flags(fresh, committed, ("shared_speedup_met", "workers_beat_serial"))
+        _check_flags(fresh, committed, ("shared_speedup_met",))
     )
     return failures
 
@@ -254,9 +237,8 @@ def compare(fresh: dict, committed: dict, max_regression: float) -> list:
         )
     # The committed speedups were measured with the native kernel powering
     # the default engine.  A runner with no C toolchain falls back to numpy,
-    # which is machine shape (like workers_beat_serial on a 1-CPU box), not
-    # a regression — skip the speedup floors there but keep the agreement
-    # checks above.
+    # which is machine shape, not a regression — skip the speedup floors
+    # there but keep the agreement checks above.
     native_skipped = committed.get("native_available", False) and not fresh.get(
         "native_available", True
     )
@@ -373,9 +355,8 @@ def main(argv=None) -> int:
         print(
             f"shared_vs_rebuild_speedup: committed "
             f"{committed.get('shared_vs_rebuild_speedup')}x, fresh "
-            f"{fresh.get('shared_vs_rebuild_speedup')}x; workers_speedup: "
-            f"committed {committed.get('workers_speedup')}x, fresh "
-            f"{fresh.get('workers_speedup')}x"
+            f"{fresh.get('shared_vs_rebuild_speedup')}x; traces agree: "
+            f"{fresh.get('traces_agree')}"
         )
     elif committed.get("kind") == "service_http":
         print(

@@ -45,7 +45,7 @@ def main() -> None:
         ProtectionRequest("CT-Greedy:TBD", budget),
         ProtectionRequest("WT-Greedy:TBD", budget),
     ]
-    results = service.solve_many(requests, workers=2)
+    results = service.solve_many(requests)
 
     rows = []
     for result in results:

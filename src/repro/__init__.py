@@ -20,7 +20,7 @@ Typical usage — build a session once, serve many queries::
 The direct algorithm calls (:func:`sgb_greedy`, :func:`ct_greedy`,
 :func:`wt_greedy`, the baselines) remain available for one-off runs; the
 session API reuses the enumerated target-subgraph index across queries and
-fans batches out over workers (``service.solve_many(requests, workers=4)``).
+answers batches in one call (``service.solve_many(requests)``).
 
 The top-level package re-exports the most frequently used names; the
 subpackages (:mod:`repro.graphs`, :mod:`repro.motifs`, :mod:`repro.core`,

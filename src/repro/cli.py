@@ -30,10 +30,10 @@ Protect 10 random targets of a synthetic Arenas-like graph::
     repro-tpp protect --dataset arenas-email --targets 10 --budget 30 \
         --motif triangle --method SGB-Greedy --output released.edges
 
-Sweep three budgets from one session, four queries in flight, JSON out::
+Sweep three budgets from one session, JSON out::
 
     repro-tpp protect --dataset arenas-email --budget 10 20 30 \
-        --workers 4 --json results.json
+        --json results.json
 
 Build the index once, then serve queries from the snapshot (no
 enumeration at startup)::
@@ -90,9 +90,6 @@ from repro.utility.loss import compare_graphs
 
 __all__ = ["main", "build_parser"]
 
-#: Experiment runners that accept a ``workers`` fan-out argument.
-_PARALLEL_EXPERIMENTS = ("fig3", "fig4")
-
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser.
@@ -140,12 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'coverage-set' = hash-set reference state, 'recount' = naive recount",
     )
     protect.add_argument("--seed", type=int, default=0)
-    protect.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="fan a multi-budget sweep out over this many threads",
-    )
     protect.add_argument(
         "--index-file",
         help="cold-start the session from a snapshot written by build-index "
@@ -279,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0, help="target-sampling seed")
     serve.add_argument(
         "--index-file",
-        help="cold-start the session from a snapshot (*.tppsnap) or session "
-        "bundle (*.tppsess); --dataset/--edge-list/--targets/--motif are ignored",
+        help="cold-start the session from a snapshot (*.tppsnap); "
+        "--dataset/--edge-list/--targets/--motif are ignored",
     )
     serve.add_argument(
         "--kernel",
@@ -347,12 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument("name", choices=sorted(EXPERIMENT_RUNNERS))
     experiment.add_argument("--scale", default="quick", choices=("quick", "paper"))
-    experiment.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=f"fan-out for the sweep experiments ({', '.join(_PARALLEL_EXPERIMENTS)})",
-    )
     experiment.add_argument("--json", help="also save the result as JSON to this path")
 
     return parser
@@ -396,7 +381,7 @@ def _command_protect(args: argparse.Namespace) -> int:
         ProtectionRequest(args.method, budget, engine=args.engine, seed=args.seed)
         for budget in args.budget
     ]
-    results = service.solve_many(requests, workers=args.workers)
+    results = service.solve_many(requests)
 
     problem = service.problem
     for result in results:
@@ -558,19 +543,9 @@ def _command_verify_index(args: argparse.Namespace) -> int:
 
 def _serve_session(args: argparse.Namespace) -> ProtectionService:
     """Open the session ``repro-tpp serve`` will put behind HTTP."""
-    import zipfile
-
     if args.index_file:
-        if zipfile.is_zipfile(args.index_file):
-            service = ProtectionService.from_session(args.index_file, kernel=args.kernel)
-            print(
-                f"session cold-started from bundle {args.index_file} "
-                f"({len(service.cached_subset_sessions())} subset "
-                "sub-session(s) restored)"
-            )
-        else:
-            service = ProtectionService.from_snapshot(args.index_file, kernel=args.kernel)
-            print(f"session cold-started from {args.index_file}")
+        service = ProtectionService.from_snapshot(args.index_file, kernel=args.kernel)
+        print(f"session cold-started from {args.index_file}")
         return service
     graph, targets = _load_instance(args)
     service = ProtectionService(graph, targets, motif=args.motif, kernel=args.kernel)
@@ -671,16 +646,7 @@ def _command_publish(args: argparse.Namespace) -> int:
 
 def _command_experiment(args: argparse.Namespace) -> int:
     runner = EXPERIMENT_RUNNERS[args.name]
-    if args.name in _PARALLEL_EXPERIMENTS and args.workers > 1:
-        results = runner(scale=args.scale, workers=args.workers)
-    else:
-        if args.workers > 1:
-            print(
-                f"note: --workers only applies to "
-                f"{', '.join(_PARALLEL_EXPERIMENTS)}; running {args.name} serially",
-                file=sys.stderr,
-            )
-        results = runner(scale=args.scale)
+    results = runner(scale=args.scale)
     if not isinstance(results, list):
         results = [results]
     for result in results:

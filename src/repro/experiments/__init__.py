@@ -6,7 +6,6 @@ from repro.experiments.attack_defense import (
     run_attack_defense,
 )
 from repro.experiments.config import ExperimentConfig, paper_profile, quick_profile
-from repro.experiments.methods import is_greedy_method, run_method
 from repro.experiments.reporting import (
     format_runtime_comparison,
     format_similarity_evolution,
@@ -32,21 +31,7 @@ from repro.experiments.similarity_evolution import (
     run_similarity_evolution,
 )
 from repro.experiments.utility_loss import UtilityLossTable, run_utility_loss
-
-
-def __getattr__(name: str):
-    """Delegate the live registry views to :mod:`repro.experiments.methods`.
-
-    ``ALL_METHODS`` / ``GREEDY_METHODS`` / ``BASELINE_METHODS`` are computed
-    from the method registry on every access; importing them eagerly here
-    would freeze a snapshot at package-import time and hide methods that
-    plugins register later.
-    """
-    if name in ("ALL_METHODS", "GREEDY_METHODS", "BASELINE_METHODS"):
-        from repro.experiments import methods
-
-        return getattr(methods, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.service.registry import is_greedy_method
 
 
 __all__ = [
@@ -56,10 +41,6 @@ __all__ = [
     "ExperimentConfig",
     "quick_profile",
     "paper_profile",
-    "ALL_METHODS",
-    "GREEDY_METHODS",
-    "BASELINE_METHODS",
-    "run_method",
     "is_greedy_method",
     "SimilarityEvolution",
     "run_similarity_evolution",

@@ -85,13 +85,12 @@ def _dblp_config(scale: str, num_targets: int) -> ExperimentConfig:
 def run_figure3(
     scale: str = "quick",
     motifs: Optional[Sequence[str]] = None,
-    workers: Optional[int] = None,
 ) -> List[SimilarityEvolution]:
     """Fig. 3: target-subgraph count vs budget on the Arenas-email graph.
 
     |T| = 20, all seven methods, budgets swept up to full protection, one
-    result per motif (Triangle, Rectangle, RecTri).  ``workers`` fans each
-    repetition's method x budget sweep out over a shared-index session.
+    result per motif (Triangle, Rectangle, RecTri).  Each repetition's
+    method x budget sweep runs on one shared-index session.
     """
     _check_scale(scale)
     config = _arenas_config(scale, num_targets=20)
@@ -99,7 +98,7 @@ def run_figure3(
         config = config.with_overrides(motifs=tuple(motifs))
     graph = load_dataset(config.dataset, **config.dataset_options())
     return [
-        run_similarity_evolution(config, motif, graph=graph, workers=workers)
+        run_similarity_evolution(config, motif, graph=graph)
         for motif in config.motifs
     ]
 
@@ -107,14 +106,12 @@ def run_figure3(
 def run_figure4(
     scale: str = "quick",
     motifs: Optional[Sequence[str]] = None,
-    workers: Optional[int] = None,
 ) -> List[SimilarityEvolution]:
     """Fig. 4: target-subgraph count vs budget on the DBLP-scale graph.
 
     |T| = 50 and budgets 1..100 in the paper; the scalable (coverage-engine)
     implementations are used because the naive ones do not terminate at this
-    scale.  ``workers`` fans each repetition's sweep out over a shared-index
-    session.
+    scale.
     """
     _check_scale(scale)
     config = _dblp_config(scale, num_targets=50)
@@ -123,13 +120,7 @@ def run_figure4(
     budgets = list(range(1, 101, 5)) if scale == "paper" else list(range(1, 26, 5))
     graph = load_dataset(config.dataset, **config.dataset_options())
     return [
-        run_similarity_evolution(
-            config,
-            motif,
-            graph=graph,
-            budgets=budgets,
-            workers=workers,
-        )
+        run_similarity_evolution(config, motif, graph=graph, budgets=budgets)
         for motif in config.motifs
     ]
 

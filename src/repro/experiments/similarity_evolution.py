@@ -72,15 +72,13 @@ def evolution_for_problem(
     engine: str = "coverage",
     seed: int = 0,
     service: Optional[ProtectionService] = None,
-    workers: Optional[int] = None,
 ) -> Dict[str, List[int]]:
     """Return ``method -> s(P, T) at each budget`` for a single problem instance.
 
     All queries are served by one :class:`~repro.service.ProtectionService`
     session (built here unless passed in), so the target-subgraph index is
     enumerated once and every run executes on a copy of the pristine
-    coverage state; ``workers`` fans the request batch out via
-    :meth:`~repro.service.ProtectionService.solve_many`.
+    coverage state.
 
     Greedy prefix property: for the single-global-budget greedy and the
     random baselines, the protector chosen at step ``i`` does not depend on
@@ -105,7 +103,7 @@ def evolution_for_problem(
                 for budget in budgets
             )
         spans[method] = slice(start, len(requests))
-    results = service.solve_many(requests, workers=workers)
+    results = service.solve_many(requests)
     curves: Dict[str, List[int]] = {}
     for method in methods:
         answers = results[spans[method]]
@@ -121,7 +119,6 @@ def run_similarity_evolution(
     motif: str,
     graph: Optional[Graph] = None,
     budgets: Optional[Sequence[int]] = None,
-    workers: Optional[int] = None,
 ) -> SimilarityEvolution:
     """Run the Fig. 3 / Fig. 4 experiment for one motif.
 
@@ -137,10 +134,6 @@ def run_similarity_evolution(
         Explicit budget axis; defaults to ``config.budgets`` or, when that is
         also ``None``, to ``1 .. k*`` of the SGB greedy on the first
         repetition (the paper's choice of sweeping up to full protection).
-    workers:
-        Optional thread fan-out for each repetition's request batch (one
-        :class:`~repro.service.ProtectionService` session per sampled
-        instance; results are independent of the worker count).
     """
     if graph is None:
         graph = load_dataset(config.dataset, **config.dataset_options())
@@ -185,7 +178,6 @@ def run_similarity_evolution(
             engine=config.engine,
             seed=seed,
             service=session,
-            workers=workers,
         )
         per_repetition.append(curves)
 

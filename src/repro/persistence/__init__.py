@@ -19,13 +19,6 @@ edge delta as a small diff file tied to its parent state's content hash
 (:mod:`repro.persistence.delta`), and :func:`verify_snapshot_file`
 validates either kind of file — hashes and format version — without
 constructing an index (``repro-tpp verify-index``).
-
-Whole sessions persist as well: :func:`save_session` bundles the parent
-index snapshot *plus* every LRU-cached subset sub-session index into one
-``.tppsess`` zip archive (:mod:`repro.persistence.session`), and
-:func:`load_session` restores the session with its subset caches wired
-back in — a replica cold-started from a bundle answers subset queries
-without re-enumeration.
 """
 
 from repro.persistence.delta import (
@@ -35,12 +28,6 @@ from repro.persistence.delta import (
     load_delta_snapshot,
     save_delta_snapshot,
     verify_snapshot_file,
-)
-from repro.persistence.session import (
-    SESSION_SUFFIX,
-    SESSION_VERSION,
-    load_session,
-    save_session,
 )
 from repro.persistence.snapshot import (
     SNAPSHOT_MAGIC,
@@ -66,8 +53,4 @@ __all__ = [
     "save_delta_snapshot",
     "load_delta_snapshot",
     "verify_snapshot_file",
-    "SESSION_SUFFIX",
-    "SESSION_VERSION",
-    "save_session",
-    "load_session",
 ]

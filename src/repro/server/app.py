@@ -15,8 +15,8 @@ HTTP (see :mod:`repro.server.protocol` for the wire format):
     ``index_source``, the session's content hash, queue depth, coalescing
     and rejection counts.
 ``POST /reload``
-    Graceful hot-swap: body names a snapshot / session-bundle path, a
-    published ``content_hash``, or a ``*.tppdelta`` file.  Deltas apply
+    Graceful hot-swap: body names a snapshot path, a published
+    ``content_hash``, or a ``*.tppdelta`` file.  Deltas apply
     through :meth:`ProtectionService.apply_delta` (copy-on-write swap);
     snapshots build a fresh session and swap it in atomically.  In-flight
     queries finish on the state they were admitted under; a corrupt or
@@ -44,7 +44,6 @@ import asyncio
 import json
 import threading
 import time
-import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -131,7 +130,7 @@ class ProtectionServer:
         self._max_pending = max_pending
         self._poll_interval = poll_interval
         self._executor = ThreadPoolExecutor(
-            max_workers=solver_threads, thread_name_prefix="tpp-solver"
+            solver_threads, thread_name_prefix="tpp-solver"
         )
         self._started_monotonic = time.monotonic()
         # event-loop-only state (never touched from executor threads):
@@ -179,21 +178,26 @@ class ProtectionServer:
     # hot-reload (synchronous — the HTTP handler runs these in the executor)
     # ------------------------------------------------------------------
     def reload_from_file(self, path: Union[str, Path]) -> Dict[str, object]:
-        """Swap in a snapshot / session bundle, or apply a delta file.
+        """Swap in an index snapshot, or apply a delta file.
 
         ``*.tppdelta`` files apply through
         :meth:`ProtectionService.apply_delta` (the parent content hash is
         verified first, the recorded result hash before the swap; a stale
         or mislabelled delta raises
         :class:`~repro.exceptions.SnapshotMismatchError` and leaves the
-        live session untouched).  Anything else loads as a session bundle
-        (zip) or a plain index snapshot and replaces the session
-        atomically — queries already in flight finish on the old one.  A
-        bundle of any other kind (such as a ``sharded-session`` bundle)
-        raises :class:`~repro.exceptions.SnapshotFormatError`.
+        live session untouched).  Anything else loads as an index snapshot
+        and replaces the session atomically — queries already in flight
+        finish on the old one.  A file that is neither (a zip archive, a
+        truncated or foreign file) raises
+        :class:`~repro.exceptions.SnapshotFormatError`.
         """
         path = Path(path)
-        head = path.read_bytes()[:12] if path.exists() else b""
+        try:
+            with path.open("rb") as handle:
+                head = handle.read(12)
+        except OSError:
+            # from_snapshot reports the unreadable path as a typed error
+            head = b""
         if head == b"REPROTPPDLTA":
             snapshot = load_delta_snapshot(path)
             # apply_delta verified the updated index against the recorded
@@ -204,11 +208,7 @@ class ProtectionServer:
                 self._content_hash = snapshot.result_content_hash
                 self._reloads += 1
             return self._reloaded("delta-applied")
-        if zipfile.is_zipfile(path):
-            fresh = ProtectionService.from_session(path)
-        else:
-            fresh = ProtectionService.from_snapshot(path)
-        return self._install(fresh)
+        return self._install(ProtectionService.from_snapshot(path))
 
     def reload_from_store(self, content_hash: str) -> Dict[str, object]:
         """Swap to / apply the published artifact named by ``content_hash``."""
@@ -573,8 +573,8 @@ class ProtectionServer:
                 400,
                 {
                     "error": (
-                        "pass exactly one of 'snapshot' (a *.tppsnap/*.tppsess "
-                        "path), 'delta' (a *.tppdelta path) or 'content_hash' "
+                        "pass exactly one of 'snapshot' (a *.tppsnap path), "
+                        "'delta' (a *.tppdelta path) or 'content_hash' "
                         "(a published artifact)"
                     )
                 },

@@ -3,8 +3,8 @@
 The paper's evaluation speaks a fixed vocabulary of seven method names
 (``SGB-Greedy``, ``CT-Greedy:TBD``, ... ``RD``, ``RDT``).  Earlier revisions
 hard-coded that vocabulary in two hand-maintained dicts plus a duplicated
-ordering tuple in ``repro.experiments.methods``; this module replaces them
-with a single registry that downstream users can extend::
+ordering tuple; this module replaces them with a single registry that
+downstream users can extend::
 
     from repro.service import register_method
 

@@ -15,8 +15,8 @@ session API splits the work:
   repeated identical requests return identical protector sequences and
   queries may run concurrently.
 
-:meth:`solve_many` answers a batch (budget sweeps, seed sweeps), optionally
-fanned out over threads that share the in-process index.
+:meth:`solve_many` answers a batch (budget sweeps, seed sweeps) serially,
+after validating every request in it.
 
 Typical usage::
 
@@ -25,8 +25,7 @@ Typical usage::
     service = ProtectionService(graph, targets, motif="triangle")
     result = service.solve(ProtectionRequest("SGB-Greedy", budget=40))
     sweep = service.solve_many(
-        [ProtectionRequest("CT-Greedy:TBD", budget=k) for k in range(5, 55, 5)],
-        workers=4,
+        [ProtectionRequest("CT-Greedy:TBD", budget=k) for k in range(5, 55, 5)]
     )
 """
 
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
@@ -199,39 +197,6 @@ class ProtectionService:
         service = cls(problem, max_cached_subsets=max_cached_subsets, kernel=kernel)
         service._index_source = "snapshot"
         return service
-
-    @classmethod
-    def from_session(
-        cls,
-        path: Union[str, Path],
-        allow_pickle: bool = True,
-        max_cached_subsets: Optional[int] = 32,
-        kernel: Optional[str] = None,
-    ) -> "ProtectionService":
-        """Cold-start a session *bundle* written by :meth:`save_session`.
-
-        Like :meth:`from_snapshot`, but the bundle also carries the subset
-        sub-session indexes that were cached when it was saved, so a
-        restored replica answers those subset queries from the cache
-        (their first query reports ``reused_index: true``).  Delegates to
-        :func:`repro.persistence.load_session`.
-        """
-        from repro.persistence.session import load_session
-
-        return load_session(
-            path,
-            allow_pickle=allow_pickle,
-            max_cached_subsets=max_cached_subsets,
-            kernel=kernel,
-        )
-
-    def save_session(self, path: Union[str, Path]) -> Path:
-        """Write this session — parent index plus cached subset sub-session
-        indexes — as a ``.tppsess`` bundle (see
-        :func:`repro.persistence.save_session`)."""
-        from repro.persistence.session import save_session
-
-        return save_session(path, self)
 
     @classmethod
     def for_filtered_targets(
@@ -446,31 +411,17 @@ class ProtectionService:
         return replace(result, extra={**result.extra, "service": metadata})
 
     def solve_many(
-        self,
-        requests: Sequence[ProtectionRequest],
-        workers: Optional[int] = None,
+        self, requests: Sequence[ProtectionRequest]
     ) -> List[ProtectionResult]:
-        """Answer a batch of queries, optionally fanned out over threads.
+        """Answer a batch of queries serially; results come back in order.
 
-        Parameters
-        ----------
-        requests:
-            The queries; results come back in the same order.
-        workers:
-            ``None``/``0``/``1`` solves serially; ``N > 1`` fans out over
-            that many threads sharing the in-process index.
-
-        Every request runs on its own state copy, so the fan-out cannot
-        change any result: serial and threaded execution produce
-        byte-identical protector traces (pinned by the regression tests).
+        The whole batch is validated before any request is solved, so a
+        malformed request fails the batch without spending solver time.
         """
         requests = list(requests)
         for request in requests:
             request.validate()
-        if workers is None or workers <= 1 or len(requests) <= 1:
-            return [self.solve(request) for request in requests]
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            return list(executor.map(self.solve, requests))
+        return [self.solve(request) for request in requests]
 
     def evaluate_trace(
         self,
@@ -713,39 +664,7 @@ class ProtectionService:
         """A least-recently-used-first copy of the subset sub-session cache.
 
         The returned mapping is a point-in-time copy — iterating it does
-        not refresh LRU slots or block concurrent queries.  Session bundles
-        (:meth:`save_session`) persist these sub-sessions so a restored
-        replica serves subset queries from its cache.
+        not refresh LRU slots or block concurrent queries.
         """
         with self._lock:
             return OrderedDict(self._subsessions)
-
-    def _adopt_subsession(self, session: "ProtectionService") -> None:
-        """Wire a restored sub-session into the subset cache.
-
-        Used by the session-bundle restore path
-        (:func:`repro.persistence.load_session`): the sub-session arrives
-        with its index already built (from its snapshot section), so later
-        subset queries on its targets reuse it instead of deriving one.  The
-        cache key is recomputed with the library-wide ordering and the LRU
-        bound is enforced exactly as for a built sub-session.
-        """
-        subset = tuple(
-            sorted(
-                (canonical_edge(*target) for target in session.targets),
-                key=edge_sort_key,
-            )
-        )
-        known = set(self._problem.targets)
-        unknown = [target for target in subset if target not in known]
-        if unknown:
-            raise ExperimentError(
-                f"sub-session targets {unknown!r} are not targets of this session"
-            )
-        with self._lock:
-            self._subsessions[subset] = session
-            while (
-                self._max_cached_subsets is not None
-                and len(self._subsessions) > self._max_cached_subsets
-            ):
-                self._subsessions.popitem(last=False)

@@ -8,7 +8,6 @@ from repro.core.sgb import sgb_greedy
 from repro.datasets.synthetic import arenas_email_like, small_social_graph
 from repro.datasets.targets import sample_random_targets
 from repro.exceptions import BudgetError
-from repro.experiments.methods import run_method
 from repro.service.registry import get_method, is_greedy_method
 
 
@@ -109,7 +108,7 @@ class TestRegistration:
         assert is_greedy_method("SGB-Greedy+BB")
 
     def test_runs_through_registry(self, problem):
-        result = run_method("SGB-Greedy+BB", problem, budget=3)
+        result = get_method("SGB-Greedy+BB").runner(problem, 3, "coverage", 0)
         assert result.algorithm == "SGB-Greedy-R+BB"
         assert result.budget_used <= 3
         assert result.extra["depth"] == 3

@@ -7,12 +7,13 @@ from repro.datasets.synthetic import small_social_graph
 from repro.datasets.targets import sample_random_targets
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentConfig, paper_profile, quick_profile
-from repro.experiments.methods import (
-    ALL_METHODS,
-    BASELINE_METHODS,
-    GREEDY_METHODS,
+from repro.service import (
+    ProtectionRequest,
+    ProtectionService,
+    baseline_method_names,
+    greedy_method_names,
     is_greedy_method,
-    run_method,
+    method_names,
 )
 
 
@@ -23,30 +24,40 @@ def problem():
     return TPPProblem(graph, targets, motif="triangle")
 
 
+@pytest.fixture
+def service(problem):
+    return ProtectionService(problem)
+
+
 class TestMethodRegistry:
     def test_all_methods_listed(self):
-        assert set(ALL_METHODS) == set(GREEDY_METHODS) | set(BASELINE_METHODS)
+        assert set(method_names()) == set(greedy_method_names()) | set(
+            baseline_method_names()
+        )
 
     def test_is_greedy_method(self):
         assert is_greedy_method("SGB-Greedy")
         assert not is_greedy_method("RD")
 
-    @pytest.mark.parametrize("method", ALL_METHODS)
-    def test_every_method_runs(self, problem, method):
-        result = run_method(method, problem, budget=3, engine="coverage", seed=0)
+    @pytest.mark.parametrize("method", method_names())
+    def test_every_method_runs(self, service, method):
+        result = service.solve(
+            ProtectionRequest(method, budget=3, engine="coverage", seed=0)
+        )
         assert result.budget_used <= 3
         assert result.final_similarity <= result.initial_similarity
 
-    def test_unknown_method(self, problem):
+    def test_unknown_method(self, service):
         with pytest.raises(ExperimentError):
-            run_method("Oracle", problem, budget=1)
+            service.solve(ProtectionRequest("Oracle", budget=1))
 
-    def test_greedy_methods_beat_rd_on_average(self, problem):
+    def test_greedy_methods_beat_rd_on_average(self, service):
         budget = 5
         rd_mean = sum(
-            run_method("RD", problem, budget, seed=s).final_similarity for s in range(5)
+            service.solve(ProtectionRequest("RD", budget, seed=s)).final_similarity
+            for s in range(5)
         ) / 5
-        sgb = run_method("SGB-Greedy", problem, budget).final_similarity
+        sgb = service.solve(ProtectionRequest("SGB-Greedy", budget)).final_similarity
         assert sgb <= rd_mean
 
 

@@ -144,7 +144,7 @@ class TestSnapshotSwap:
         gets the admitted session's answer; fresh requests after the
         in-flight solve completes answer from the new session."""
         server, client = served
-        bundle = ProtectionService(problem_b).save_session(tmp_path / "b.tppsess")
+        snapshot_b = problem_b.save_index(tmp_path / "b.tppsnap")
         started = threading.Event()
         release = threading.Event()
 
@@ -160,7 +160,7 @@ class TestSnapshotSwap:
                 first = pool.submit(client.solve_payload, request)
                 assert started.wait(timeout=30.0)
                 # the reload lands while the gated solve is mid-flight
-                outcome = client.reload(snapshot=bundle)
+                outcome = client.reload(snapshot=snapshot_b)
                 assert outcome["action"] == "swapped"
                 assert outcome["content_hash"] == hash_b
                 second = pool.submit(client.solve_payload, request)
@@ -354,9 +354,10 @@ class TestRefusals:
     def test_sharded_bundle_refused_like_any_malformed_bundle(
         self, served, problem_b, hash_a, tmp_path
     ):
-        """Sharded sessions are gone; a ``sharded-session`` bundle written
-        by an older release is refused with the same typed 409 as a
-        malformed bundle, and the live session keeps serving unchanged."""
+        """Zip archives are refused as malformed snapshots: a
+        ``sharded-session`` bundle written by an older release and a zip
+        with a broken manifest both fail the snapshot magic check with a
+        typed 409, and the live session keeps serving unchanged."""
         _, client = served
         request = ProtectionRequest("SGB-Greedy", 4)
         before = client.solve_payload(request)
@@ -370,7 +371,7 @@ class TestRefusals:
             "targets_per_shard": [len(problem_b.targets)],
         }
         sharded = tmp_path / "session.tppshards"
-        malformed = tmp_path / "broken.tppsess"
+        malformed = tmp_path / "broken.zip"
         with zipfile.ZipFile(sharded, "w") as archive:
             archive.writestr("manifest.json", json.dumps(manifest))
             archive.write(member, member.name)

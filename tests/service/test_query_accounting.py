@@ -7,6 +7,7 @@ exactly one site, and failed queries are never counted.
 """
 
 import inspect
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -80,7 +81,8 @@ class TestAccounting:
         requests = [ProtectionRequest("SGB-Greedy", budget) for budget in (2, 3, 4)]
         service.solve_many(requests)
         assert service.queries_served == 3
-        service.solve_many(requests, workers=3)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            list(pool.map(service.solve, requests))
         assert service.queries_served == 6
 
     def test_recount_engine_counted_like_any_other(self, service):

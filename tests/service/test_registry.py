@@ -51,13 +51,6 @@ class TestBuiltinRegistrations:
         assert not is_greedy_method("RD")
         assert not is_greedy_method("Oracle")
 
-    def test_legacy_collections_derive_from_registry(self):
-        from repro.experiments import methods as legacy
-
-        assert legacy.ALL_METHODS == LEGEND_ORDER
-        assert set(legacy.GREEDY_METHODS) == set(greedy_method_names())
-        assert set(legacy.BASELINE_METHODS) == set(baseline_method_names())
-
     def test_get_method_unknown_lists_valid_names(self):
         with pytest.raises(ExperimentError) as excinfo:
             get_method("Oracle")
@@ -75,10 +68,6 @@ class TestCustomRegistration:
         try:
             assert "SGB-Lazy-Off" in method_names()
             assert is_greedy_method("SGB-Lazy-Off")
-            # visible through the legacy live view too
-            from repro.experiments import methods as legacy
-
-            assert "SGB-Lazy-Off" in legacy.ALL_METHODS
 
             service = ProtectionService(problem)
             custom = service.solve(ProtectionRequest("SGB-Lazy-Off", 3))
@@ -89,19 +78,20 @@ class TestCustomRegistration:
         assert "SGB-Lazy-Off" not in method_names()
 
     def test_package_views_live_but_default_sweep_pinned(self):
-        """`repro.experiments.ALL_METHODS` must see plugins (live view), while
-        the default reproduction sweep stays the paper's seven curves."""
+        """The package's registry views (`repro.service.method_names` and
+        friends) must see plugins, while the default reproduction sweep
+        stays the paper's seven curves."""
 
         @register_method("Plugin-Live", kind="baseline", order=998)
         def _run(problem, budget, engine, seed, **options):
             raise AssertionError("never called")
 
         try:
-            import repro.experiments as experiments
+            import repro.service as service
             from repro.experiments.config import PAPER_METHODS, ExperimentConfig
 
-            assert "Plugin-Live" in experiments.ALL_METHODS
-            assert "Plugin-Live" in experiments.BASELINE_METHODS
+            assert "Plugin-Live" in service.method_names()
+            assert "Plugin-Live" in service.baseline_method_names()
             assert ExperimentConfig().methods == PAPER_METHODS
             assert "Plugin-Live" not in ExperimentConfig().methods
         finally:

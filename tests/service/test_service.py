@@ -6,9 +6,11 @@ Covers the PR's acceptance guarantees:
   sequences, and a solved query never mutates the session's pristine state,
 * differential — service-path results equal legacy direct-call results on
   randomized instances for every method, and
-* worker independence — serial and threaded fan-out produce
+* thread safety — concurrent ``solve`` calls and a serial batch produce
   byte-identical protector traces.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -175,9 +177,12 @@ class TestSolveMany:
         ]
 
     def test_results_independent_of_workers(self, service):
+        """Concurrent ``solve`` calls (the server's solver threads) return
+        what one serial batch returns."""
         batch = self._batch()
         serial = service.solve_many(batch)
-        threaded = service.solve_many(batch, workers=3)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            threaded = list(pool.map(service.solve, batch))
         # byte-identical traces, same algorithms, same order
         assert [trace(r) for r in serial] == [trace(r) for r in threaded]
         assert [r.algorithm for r in serial] == [r.algorithm for r in threaded]
@@ -275,7 +280,8 @@ class TestTargetSubsets:
             ProtectionRequest(method, 3, targets=subset)
             for method in ("SGB-Greedy", "CT-Greedy:TBD", "WT-Greedy:TBD", "RD")
         ]
-        results = service.solve_many(batch, workers=4)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(service.solve, batch))
         assert len(service._subsessions) == 1
         serial = [service.solve(request) for request in batch]
         assert [trace(r) for r in results] == [trace(r) for r in serial]
@@ -314,7 +320,7 @@ class TestTargetSubsets:
         echoed = first.extra["service"]["request"]
         assert [tuple(edge) for edge in echoed["targets"]] == list(subset)
 
-    @pytest.mark.parametrize("parent_kind", ["snapshot", "bundle", "delta"])
+    @pytest.mark.parametrize("parent_kind", ["snapshot", "delta"])
     def test_subset_echoes_parent_provenance(
         self, service, targets, tmp_path, parent_kind
     ):
@@ -323,11 +329,6 @@ class TestTargetSubsets:
         if parent_kind == "snapshot":
             parent = ProtectionService.from_snapshot(
                 service.problem.save_index(tmp_path / "parent.tppsnap")
-            )
-            expected = ("snapshot", 0)
-        elif parent_kind == "bundle":
-            parent = ProtectionService.from_session(
-                service.save_session(tmp_path / "parent.tppsess")
             )
             expected = ("snapshot", 0)
         else:

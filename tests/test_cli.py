@@ -19,7 +19,6 @@ class TestParser:
         assert args.dataset == "arenas-email"
         assert args.method == "SGB-Greedy"
         assert args.budget == [20]
-        assert args.workers == 1
 
     def test_method_choices_follow_live_registry(self, capsys):
         from repro.service import register_method, unregister_method
@@ -95,7 +94,7 @@ class TestProtectCommand:
 
 
 class TestProtectSweepAndJson:
-    def test_budget_sweep_with_workers_and_json(self, tmp_path, capsys):
+    def test_budget_sweep_with_json(self, tmp_path, capsys):
         from repro.core.model import ProtectionResult
 
         json_path = tmp_path / "results.json"
@@ -110,8 +109,6 @@ class TestProtectSweepAndJson:
                 "5",
                 "10",
                 "15",
-                "--workers",
-                "2",
                 "--json",
                 str(json_path),
             ]

@@ -350,83 +350,6 @@ class TestLockDisciplineRule:
 
 
 # ----------------------------------------------------------------------
-# R4 — pickle safety
-# ----------------------------------------------------------------------
-class TestPickleSafetyRule:
-    FLAGGED = """
-        from concurrent.futures import ProcessPoolExecutor
-
-        def run(items):
-            pool = ProcessPoolExecutor()
-            return [pool.submit(lambda x: x + 1, item) for item in items]
-        """
-
-    def test_lambda_submit_flagged(self):
-        findings, _ = lint(self.FLAGGED, "R4")
-        assert codes(findings) == ["R4-unpicklable-task"]
-
-    def test_module_level_function_clean(self):
-        findings, _ = lint(
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def work(x):
-                return x + 1
-
-            def run(items):
-                with ProcessPoolExecutor() as pool:
-                    return list(pool.map(work, items))
-            """,
-            "R4",
-        )
-        assert findings == []
-
-    def test_local_function_flagged(self):
-        findings, _ = lint(
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run(items):
-                def work(x):
-                    return x + 1
-
-                with ProcessPoolExecutor() as pool:
-                    return list(pool.map(work, items))
-            """,
-            "R4",
-        )
-        assert codes(findings) == ["R4-unpicklable-task"]
-
-    def test_lambda_initializer_flagged(self):
-        findings, _ = lint(
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run():
-                pool = ProcessPoolExecutor(initializer=lambda: None)
-                return pool
-            """,
-            "R4",
-        )
-        assert codes(findings) == ["R4-unpicklable-task"]
-
-    def test_suppression_with_reason_absorbs(self):
-        findings, suppressed = lint(
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run(items):
-                pool = ProcessPoolExecutor()
-                # reprolint: disable=R4-unpicklable-task(demonstration snippet; never executed)
-                return [pool.submit(lambda x: x + 1, item) for item in items]
-            """,
-            "R4",
-        )
-        assert findings == []
-        assert codes(suppressed) == ["R4-unpicklable-task"]
-
-
-# ----------------------------------------------------------------------
 # R5 — exception taxonomy
 # ----------------------------------------------------------------------
 class TestExceptionTaxonomyRule:
@@ -987,18 +910,9 @@ class TestSuppressions:
 # Driver / CLI
 # ----------------------------------------------------------------------
 class TestDriver:
-    def test_all_eight_families_registered(self):
-        assert sorted(RULES_BY_FAMILY) == [
-            "R1",
-            "R2",
-            "R3",
-            "R4",
-            "R5",
-            "R6",
-            "R7",
-            "R8",
-        ]
-        assert len(ALL_RULES) == 8
+    def test_all_seven_families_registered(self):
+        assert sorted(RULES_BY_FAMILY) == ["R1", "R2", "R3", "R5", "R6", "R7", "R8"]
+        assert len(ALL_RULES) == 7
 
     def test_parser_accepts_select_and_format(self):
         args = build_parser().parse_args(

@@ -8,7 +8,6 @@ time instead of breaking bit-identity at runtime:
 * **R2 numpy-boundary** — no numpy scalars escaping public returns.
 * **R3 lock-discipline** — ``guarded-by(LOCK)`` attributes written only
   under ``with self.LOCK:``.
-* **R4 pickle-safety** — nothing unpicklable submitted to a process pool.
 * **R5 exception-taxonomy** — typed ``repro.exceptions``, not bare
   ``ValueError``.
 * **R6 bench-schema** — committed BENCH reports / emitting scripts carry
@@ -16,6 +15,13 @@ time instead of breaking bit-identity at runtime:
 * **R7 native-boundary** — ``ctypes`` only inside ``repro._native``,
   every bound symbol declared (``argtypes`` + ``restype``), native calls
   behind the kernel-dispatch guard.
+* **R8 subset-restriction** — service code never assembles an index
+  itself (no ``TargetSubgraphIndex(...)`` or private assembly hooks in
+  ``repro/service/``).
+
+(R4, pickle safety for process-pool tasks, was retired with the last
+process pool; the other families keep their numbers so existing
+suppressions stay valid.)
 
 Run ``python -m tools.reprolint src/repro``; suppress a finding with
 ``# reprolint: disable=RULE(reason)`` — the reason is mandatory.

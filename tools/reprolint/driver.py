@@ -181,8 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m tools.reprolint",
         description=(
             "Repo-specific static analysis: determinism (R1), numpy "
-            "boundaries (R2), lock discipline (R3), pickle safety (R4), "
-            "exception taxonomy (R5), benchmark-gate schema (R6)."
+            "boundaries (R2), lock discipline (R3), exception taxonomy (R5), "
+            "benchmark-gate schema (R6), native boundary (R7), subset "
+            "restriction (R8)."
         ),
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")

@@ -11,7 +11,6 @@ from tools.reprolint.rules.exception_taxonomy import ExceptionTaxonomyRule
 from tools.reprolint.rules.lock_discipline import LockDisciplineRule
 from tools.reprolint.rules.native_boundary import NativeBoundaryRule
 from tools.reprolint.rules.numpy_boundary import NumpyBoundaryRule
-from tools.reprolint.rules.pickle_safety import PickleSafetyRule
 from tools.reprolint.rules.subset_restriction import SubsetRestrictionRule
 
 __all__ = ["ALL_RULES", "RULES_BY_FAMILY", "ProjectRule", "Rule"]
@@ -21,7 +20,6 @@ ALL_RULES: List[Rule] = [
     DeterminismRule(),
     NumpyBoundaryRule(),
     LockDisciplineRule(),
-    PickleSafetyRule(),
     ExceptionTaxonomyRule(),
     BenchSchemaRule(),
     NativeBoundaryRule(),

@@ -38,10 +38,6 @@ from tools.reprolint.rules.base import ProjectRule
 
 GATE_RELPATH = Path("benchmarks") / "check_bench_regression.py"
 
-#: keys read from the *fresh* report only; legitimate to omit in a
-#: committed report (machine-shape escape hatches).
-FRESH_ONLY_KEYS = frozenset({"workers_beat_serial_expected"})
-
 #: the kind the gate assumes when a report carries no "kind" field.
 DEFAULT_KIND = "engine_kernel"
 
@@ -174,7 +170,6 @@ def _required_keys(function: ast.FunctionDef) -> Tuple[Set[str], Set[str]]:
                     element.value, str
                 ):
                     keys.add(element.value)
-    keys -= FRESH_ONLY_KEYS
     return keys, row_keys
 
 
