@@ -1,4 +1,4 @@
-"""Ablation: coverage index vs naive recount vs lazy (CELF) evaluation.
+"""Ablation: coverage index vs naive recount vs lazy (heap) evaluation.
 
 DESIGN.md calls out the coverage formulation and the optional lazy greedy as
 the two implementation choices that make the algorithms scale; this ablation
@@ -15,8 +15,6 @@ from repro.core.sgb import sgb_greedy
 
 VARIANTS = {
     "recount": {"engine": "recount", "lazy": False},
-    "coverage-set": {"engine": "coverage-set", "lazy": False},
-    "coverage-set+celf": {"engine": "coverage-set", "lazy": True},
     "coverage": {"engine": "coverage", "lazy": False},
     "coverage+lazy": {"engine": "coverage", "lazy": True},
 }

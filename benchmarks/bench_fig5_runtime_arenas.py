@@ -6,10 +6,9 @@ combination is its own pytest-benchmark case, so ``--benchmark-only`` output
 directly shows the naive-vs-scalable gap; the assertions only check that the
 protector selections agree, the timing comparison is the benchmark itself.
 
-Three engines are timed: ``recount`` (naive), ``coverage-set`` (the original
-hash-set -R implementation) and ``coverage`` (the incremental array kernel),
-so both the paper's naive-vs-scalable gap and this library's old-vs-new
-kernel gap fall out of one run.
+Two engines are timed: ``recount`` (naive) and ``coverage`` (the
+incremental coverage kernel, -R), so the paper's naive-vs-scalable gap
+falls out of one run.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ ALGORITHMS = {
 
 
 @pytest.mark.parametrize("motif", ["triangle", "rectangle", "rectri"])
-@pytest.mark.parametrize("engine", ["coverage", "coverage-set", "recount"])
+@pytest.mark.parametrize("engine", ["coverage", "recount"])
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_fig5_selection_runtime(
     benchmark, arenas_graph, arenas_targets, motif, engine, algorithm

@@ -34,13 +34,11 @@ def test_bench_similarity_recount(benchmark, arenas_graph, arenas_targets, motif
     assert total >= 0
 
 
-@pytest.mark.parametrize("state_kind", ["array", "set"])
-def test_bench_coverage_gain_queries(benchmark, arenas_graph, arenas_targets, state_kind):
-    """Old-vs-new gain queries: the array kernel reads counters (O(1)/edge),
-    the set state rescans the inverted index per edge."""
+def test_bench_coverage_gain_queries(benchmark, arenas_graph, arenas_targets):
+    """Gain queries: the kernel reads live counters (O(1) per edge)."""
     problem = TPPProblem(arenas_graph, arenas_targets, motif="rectangle")
     index = problem.build_index()
-    state = index.new_state() if state_kind == "array" else index.new_set_state()
+    state = index.new_state()
     candidates = index.candidate_edge_list()
 
     def query_all():

@@ -42,20 +42,16 @@ the vectorized build stopped being bit-identical to the seed build (or
 their greedy traces diverged), if the overall vectorized-vs-seed build
 speedup dropped more than ``--max-regression`` below the committed value,
 or if the ``vectorized_speedup_met`` acceptance flag regressed from the
-committed report.  For the kernel report
-the check fails (exit 1)
-if any method's kernel-vs-set *speedup* dropped by more than
-``--max-regression`` (default 30%, absorbing CI machine noise), if a method
-disappeared, if the engines stopped agreeing on protectors, if the native
-and numpy kernels stopped agreeing on a hot-loop similarity or on a whole
-solve's result (``whole_solves_identical``), or if a speedup
-acceptance target recorded in the committed report is no longer met.  The
-native-vs-numpy loop speedups get the same per-loop floors, and the
-``native_speedup_met`` flag the same noise tolerance (fail only when the
-fresh minimum misses the 5x *target* by more than ``--max-regression``);
-all native and end-to-end speedup floors are skipped when the fresh run
-records ``native_available: false`` (no C toolchain is machine shape, not a
-regression — agreement checks still apply).  For
+committed report.  For the kernel report the check fails (exit 1) if
+the native and numpy kernels stopped agreeing on a hot-loop similarity or
+on a whole solve's result (``whole_solves_identical``), or if a native
+timing — each hot loop's best-of-N µs and each whole-solve cell's p50 µs —
+exceeds the ``ceiling_us`` the committed report records next to it, or if
+the fresh run measured another instance than the committed one.  The
+ceilings are absolute and ``--max-regression`` does not apply to them;
+they are skipped when the fresh run records ``native_available: false``
+(no C toolchain is machine shape, not a regression — agreement checks
+still apply).  For
 the service-throughput report it fails if the traces stopped agreeing, if
 the shared-vs-rebuild speedup dropped more than ``--max-regression`` below
 the committed value, or if an acceptance flag that was true in the committed
@@ -223,93 +219,73 @@ def compare(fresh: dict, committed: dict, max_regression: float) -> list:
     if committed.get("kind") == "index_update":
         return compare_index_update(fresh, committed, max_regression)
     failures = []
-    if not fresh.get("all_protectors_agree", False):
-        failures.append("fresh run: engines disagree on a protector sequence")
-    if fresh.get("native_available") and not fresh.get("native_loops_agree", True):
+    if not fresh.get("native_loops_agree", False):
         failures.append(
             "fresh run: native and numpy kernels disagree on a hot-loop "
             "similarity"
         )
-    if not fresh.get("whole_solves_identical", True):
+    if not fresh.get("whole_solves_identical", False):
         failures.append(
             "fresh run: native and numpy kernels disagree on a whole "
             "ProtectionService.solve result"
         )
-    # The committed speedups were measured with the native kernel powering
-    # the default engine.  A runner with no C toolchain falls back to numpy,
-    # which is machine shape, not a regression — skip the speedup floors
-    # there but keep the agreement checks above.
-    native_skipped = committed.get("native_available", False) and not fresh.get(
-        "native_available", True
-    )
-    if native_skipped:
+    # The ceilings bound the native kernel.  A runner with no C toolchain
+    # falls back to numpy, which is machine shape, not a regression — skip
+    # the ceilings there but keep the agreement checks above.
+    if not fresh.get("native_available", False):
         print(
-            "native speedup floors skipped: fresh runner reports "
+            "native ceilings skipped: fresh runner reports "
             "native_available=false (no C toolchain or REPRO_NATIVE=0)"
         )
         return failures
-    for method, committed_row in committed.get("methods", {}).items():
-        fresh_row = fresh.get("methods", {}).get(method)
-        if fresh_row is None:
-            failures.append(f"{method}: missing from the fresh report")
-            continue
-        committed_speedup = committed_row.get("speedup", 0.0)
-        fresh_speedup = fresh_row.get("speedup", 0.0)
-        floor = committed_speedup * (1.0 - max_regression)
-        if fresh_speedup < floor:
+    for section in ("native", "whole_solve"):
+        if _instance(fresh.get(section, {})) != _instance(committed.get(section, {})):
             failures.append(
-                f"{method}: speedup {fresh_speedup:.2f}x fell more than "
-                f"{max_regression:.0%} below the committed "
-                f"{committed_speedup:.2f}x (floor {floor:.2f}x)"
+                f"{section}: the fresh run measured another instance than the "
+                "committed report, so its ceilings do not apply"
             )
-    for flag, target_key in (
-        ("sgb_speedup_met", "sgb_speedup_target"),
-        ("ct_speedup_met", "ct_speedup_target"),
-    ):
-        if committed.get(flag) and not fresh.get(flag, False):
+    measured = _native_cells(fresh)
+    ceilings = _native_cells(committed)
+    if not ceilings:
+        failures.append("the committed report records no native timing to gate")
+    for cell, (_, ceiling) in ceilings.items():
+        value = measured.get(cell, (None, None))[0]
+        if ceiling is None:
+            failures.append(f"{cell}: the committed report records no ceiling_us")
+        elif value is None:
+            failures.append(f"{cell}: missing from the fresh report")
+        elif value > ceiling:
             failures.append(
-                f"{flag.split('_')[0].upper()} speedup target "
-                f"(>= {committed.get(target_key)}x) no longer met: "
-                f"fresh {fresh.get(target_key.replace('_target', ''))}x"
-            )
-    committed_loops = committed.get("native", {}).get("loops", {})
-    fresh_loops = fresh.get("native", {}).get("loops", {})
-    for loop, committed_loop in committed_loops.items():
-        fresh_loop = fresh_loops.get(loop)
-        if fresh_loop is None:
-            failures.append(f"native {loop}: missing from the fresh report")
-            continue
-        committed_speedup = committed_loop.get("native_speedup", 0.0)
-        fresh_speedup = fresh_loop.get("native_speedup", 0.0)
-        floor = committed_speedup * (1.0 - max_regression)
-        if fresh_speedup < floor:
-            failures.append(
-                f"native {loop}: speedup {fresh_speedup:.2f}x fell more than "
-                f"{max_regression:.0%} below the committed "
-                f"{committed_speedup:.2f}x (floor {floor:.2f}x)"
-            )
-    if committed.get("native_speedup_met") and not fresh.get(
-        "native_speedup_met", False
-    ):
-        # The 5x bar sits close to the measured minima, so grant the flag the
-        # same noise tolerance as the per-loop floors: only fail when the
-        # fresh minimum misses the *target* by more than max_regression.
-        target = committed.get("native", {}).get("native_speedup_target", 0.0)
-        fresh_min = fresh.get("min_native_speedup", 0.0)
-        tolerated_floor = target * (1.0 - max_regression)
-        if fresh_min < tolerated_floor:
-            failures.append(
-                f"native speedup target (>= {target}x) no longer met: fresh "
-                f"minimum {fresh_min}x is below the tolerated floor "
-                f"{tolerated_floor:.2f}x"
-            )
-        else:
-            print(
-                f"native_speedup_met tolerated: fresh minimum {fresh_min}x is "
-                f"within {max_regression:.0%} of the {target}x target "
-                "(runner noise)"
+                f"{cell}: native {value:.1f} us exceeds the ceiling "
+                f"{ceiling:.1f} us"
             )
     return failures
+
+
+#: Engine-kernel config keys that describe the harness or the host, not
+#: the measured instance.
+_HARNESS_KEYS = ("repeats", "min_seconds", "cpu_count")
+
+
+def _instance(section: dict) -> dict:
+    config = section.get("config", {})
+    return {key: value for key, value in config.items() if key not in _HARNESS_KEYS}
+
+
+def _native_cells(report: dict) -> dict:
+    """Map each gated cell of an engine-kernel report to
+    ``(native µs, ceiling µs)``: the three hot loops (best-of-N) and every
+    whole-solve method and budget (p50)."""
+    cells = {}
+    for loop, row in report.get("native", {}).get("loops", {}).items():
+        cells[f"{loop} loop"] = (row.get("native_us"), row.get("ceiling_us"))
+    for method, rows in report.get("whole_solve", {}).get("methods", {}).items():
+        for row in rows:
+            cells[f"{method} solve, budget {row.get('budget')}"] = (
+                row.get("native_p50_us"),
+                row.get("ceiling_us"),
+            )
+    return cells
 
 
 def main(argv=None) -> int:
@@ -320,7 +296,8 @@ def main(argv=None) -> int:
         "--max-regression",
         type=float,
         default=0.30,
-        help="tolerated fractional speedup drop per method (default 0.30)",
+        help="tolerated fractional speedup drop for the ratio-gated kinds "
+        "(default 0.30); the engine-kernel ceilings are absolute",
     )
     args = parser.parse_args(argv)
 
@@ -367,24 +344,12 @@ def main(argv=None) -> int:
             f"{fresh.get('responses_identical')}; single solve: "
             f"{fresh.get('coalesced_single_solve')}"
         )
-    else:
-        for method in sorted(committed.get("methods", {})):
-            fresh_speedup = fresh.get("methods", {}).get(method, {}).get("speedup")
-            committed_speedup = committed["methods"][method].get("speedup")
-            print(f"{method:>18}: committed {committed_speedup}x, fresh {fresh_speedup}x")
-        for loop in sorted(committed.get("native", {}).get("loops", {})):
-            fresh_speedup = (
-                fresh.get("native", {})
-                .get("loops", {})
-                .get(loop, {})
-                .get("native_speedup")
-            )
-            committed_speedup = committed["native"]["loops"][loop].get(
-                "native_speedup"
-            )
+    elif fresh.get("native_available"):
+        measured = _native_cells(fresh)
+        for cell, (_, ceiling) in _native_cells(committed).items():
             print(
-                f"{'native ' + loop:>18}: committed {committed_speedup}x, "
-                f"fresh {fresh_speedup}x"
+                f"{cell:>30}: fresh {measured.get(cell, (None,))[0]} us, "
+                f"ceiling {ceiling} us"
             )
     if failures:
         for failure in failures:

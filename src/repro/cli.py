@@ -133,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         default="coverage",
         choices=ENGINE_NAMES,
-        help="marginal-gain engine: 'coverage' = array kernel (-R algorithms), "
-        "'coverage-set' = hash-set reference state, 'recount' = naive recount",
+        help="marginal-gain engine: 'coverage' = coverage kernel (-R algorithms), "
+        "'recount' = naive recount",
     )
     protect.add_argument("--seed", type=int, default=0)
     protect.add_argument(

@@ -27,15 +27,11 @@ from repro.core.model import ProtectionResult, TPPProblem
 from repro.core.selection import Stopwatch, similarity_trace
 from repro.exceptions import BudgetError
 from repro.graphs.indexed import NP_LONG
-from repro.motifs.enumeration import CoverageState, SetCoverageState
+from repro.motifs.enumeration import CoverageState
 
 __all__ = ["random_deletion", "random_target_subgraph_deletion", "shuffle_ids"]
 
 RandomLike = Union[int, random.Random, None]
-
-#: A prepared coverage state the baseline traces deletions on (the session
-#: API passes a copy of its pristine prototype; ``None`` builds a fresh one).
-StateLike = Union[CoverageState, SetCoverageState, None]
 
 
 def _rng(seed: RandomLike) -> random.Random:
@@ -113,7 +109,7 @@ def _run_random_baseline(
     pool: np.ndarray,
     algorithm: str,
     seed: RandomLike,
-    state: StateLike,
+    state: Optional[CoverageState],
 ) -> ProtectionResult:
     """Delete the first ``budget`` edges of the shuffled edge-id ``pool``
     on ``state`` and trace the similarity.
@@ -128,18 +124,11 @@ def _run_random_baseline(
     if budget < 0:
         raise BudgetError(f"budget must be >= 0, got {budget}")
     stopwatch = Stopwatch()
-    index = problem.build_index()
     shuffle_ids(pool, _rng(seed))
-    sample = pool[:budget]
     if state is None:
-        state = index.new_state()
+        state = problem.build_index().new_state()
     initial = state.total_similarity()
-    if isinstance(state, CoverageState):
-        chosen, killed = state.kill_id_sequence(sample)
-    else:
-        edge_at = index.indexed_graph.edge_at
-        chosen = [edge_at(edge_id) for edge_id in sample.tolist()]
-        killed = [sum(state.delete_edge(edge).values()) for edge in chosen]
+    chosen, killed = state.kill_id_sequence(pool[:budget])
     return ProtectionResult(
         algorithm=algorithm,
         motif=problem.motif.name,
@@ -153,7 +142,10 @@ def _run_random_baseline(
 
 
 def random_deletion(
-    problem: TPPProblem, budget: int, seed: RandomLike = None, state: StateLike = None
+    problem: TPPProblem,
+    budget: int,
+    seed: RandomLike = None,
+    state: Optional[CoverageState] = None,
 ) -> ProtectionResult:
     """RD baseline: delete ``budget`` edges sampled uniformly from the graph.
 
@@ -172,7 +164,10 @@ def random_deletion(
 
 
 def random_target_subgraph_deletion(
-    problem: TPPProblem, budget: int, seed: RandomLike = None, state: StateLike = None
+    problem: TPPProblem,
+    budget: int,
+    seed: RandomLike = None,
+    state: Optional[CoverageState] = None,
 ) -> ProtectionResult:
     """RDT baseline: delete ``budget`` edges sampled from target subgraphs.
 

@@ -44,8 +44,7 @@ def ct_greedy(
         ``"tbd"``, ``"dbd"``, ``"uniform"`` or an explicit target -> budget
         mapping.
     engine:
-        ``"coverage"`` (CT-Greedy-R, array kernel), ``"coverage-set"``
-        (reference hash-set state), ``"recount"`` (CT-Greedy), or an
+        ``"coverage"`` (CT-Greedy-R), ``"recount"`` (CT-Greedy), or an
         already-constructed engine instance.
 
     Returns

@@ -15,14 +15,14 @@ the difference between the paper's plain algorithms and their scalable
   instances from the graph.  Faithful, simple, and slow (this is what
   Figs. 5–6 measure as SGB/CT/WT-Greedy).
 * :class:`CoverageEngine` — the scalable formulation of Lemma 5: target
-  subgraphs are enumerated once into a coverage state over the index and
-  candidates are restricted to edges of target subgraphs.  With the default
-  array kernel (``state="array"``, :class:`~repro.motifs.CoverageState`)
-  gains are O(1) counter reads and the maximum-gain edge pops from a lazy
-  max-heap; with ``state="set"`` the original hash-set bookkeeping
-  (:class:`~repro.motifs.SetCoverageState`) is used — same answers, kept as
-  the reference implementation for differential tests and old-vs-new
-  benchmarks.
+  subgraphs are enumerated once into a :class:`~repro.motifs.CoverageState`
+  over the index and candidates are restricted to edges of target
+  subgraphs.  Gains are O(1) counter reads and the maximum-gain edge pops
+  from a lazy max-heap.
+
+The two engines give the same answers on every instance; ``recount``
+shares nothing with the index, which makes it the differential oracle the
+kernel is tested against (``tests/property/test_kernel_differential.py``).
 
 Beyond the point queries, the engine protocol exposes batched entry points
 (:meth:`MarginalGainEngine.top_gain_edge`,
@@ -33,7 +33,7 @@ Beyond the point queries, the engine protocol exposes batched entry points
 implementations; :class:`CoverageEngine` overrides them with the kernel's
 incremental counterparts so SGB/CT/WT share one fast path.  In particular
 ``best_scored_pair`` — the argmax of the MLBT score ``Δ_t^p`` over
-``(target, edge)`` pairs — is answered by the array kernel from per-target
+``(target, edge)`` pairs — is answered by the kernel from per-target
 lazy max-heaps over the per-(edge, target) counter matrix, which is what
 makes the CT/WT greedy steps sublinear in the candidate count.  On the
 native kernel :class:`CoverageEngine` goes one step further: its
@@ -51,7 +51,7 @@ from repro.core.selection import argmax_edge, edge_sort_key
 from repro.exceptions import EngineError
 from repro.graphs.graph import Edge, Graph, canonical_edge
 from repro.motifs.base import MotifPattern
-from repro.motifs.enumeration import CoverageState, SetCoverageState
+from repro.motifs.enumeration import CoverageState
 
 __all__ = [
     "MarginalGainEngine",
@@ -211,85 +211,45 @@ class MarginalGainEngine(ABC):
 class CoverageEngine(MarginalGainEngine):
     """Scalable engine backed by the enumerated target-subgraph index.
 
+    Only edges that participate in some target subgraph are offered as
+    candidates (the ``-R`` behaviour of Lemma 5); gains are O(1) reads of
+    the kernel's live counters and :meth:`top_gain_edge` pops from a heap.
+
     Parameters
     ----------
     problem:
         The TPP instance.
-    restrict_candidates:
-        When true (default, the ``-R`` behaviour of Lemma 5) only edges that
-        participate in some target subgraph are offered as candidates.  When
-        false every remaining edge of the phase-1 graph is offered; gains are
-        still answered from the index (edges outside any target subgraph
-        simply report zero gain), so this setting only changes how much work
-        the greedy loop does per step.
     state:
-        ``"array"`` (default) uses the incremental array kernel
-        (:class:`~repro.motifs.CoverageState`): O(1) gains, heap-backed
-        :meth:`top_gain_edge`.  ``"set"`` uses the original hash-set
-        bookkeeping (:class:`~repro.motifs.SetCoverageState`), kept as the
-        slow reference implementation.  A prepared :class:`CoverageState` /
-        :class:`SetCoverageState` instance (typically a cheap ``copy()`` of a
-        session's pristine prototype, see
-        :class:`repro.service.ProtectionService`) may be passed instead of a
-        kind name; it must be layered on this problem's index and is adopted
-        as-is — no enumeration and no counter rebuild happens.
+        A prepared :class:`~repro.motifs.CoverageState` (typically a cheap
+        ``copy()`` of a session's pristine prototype, see
+        :class:`repro.service.ProtectionService`).  It must be layered on
+        this problem's index and is adopted as-is — no enumeration and no
+        counter rebuild happens.  ``None`` (default) builds a fresh state
+        from the problem's index.
     """
 
-    def __init__(
-        self,
-        problem: TPPProblem,
-        restrict_candidates: bool = True,
-        state: Union[str, CoverageState, SetCoverageState] = "array",
-    ) -> None:
+    def __init__(self, problem: TPPProblem, state: Optional[CoverageState] = None) -> None:
         self._problem = problem
-        self._restrict = restrict_candidates
-        if isinstance(state, (CoverageState, SetCoverageState)):
-            if state.index is not problem.build_index():
-                raise EngineError(
-                    "prepared coverage state is layered on a different "
-                    "TargetSubgraphIndex than the problem's"
-                )
-            self._state: Union[CoverageState, SetCoverageState] = state
-            self._state_kind = "array" if isinstance(state, CoverageState) else "set"
-            self._deleted = set(state.deleted_edges)
-        else:
-            if state not in ("array", "set"):
-                raise EngineError(
-                    f"unknown state kind {state!r}; expected 'array' or 'set'"
-                )
-            index = problem.build_index()
-            self._state = index.new_state() if state == "array" else index.new_set_state()
-            self._state_kind = state
-            self._deleted = set()
-        # full edge set only matters for restrict_candidates=False; build lazily
-        self._all_edges: Optional[Set[Edge]] = None
+        if state is None:
+            state = problem.build_index().new_state()
+        elif state.index is not problem.build_index():
+            raise EngineError(
+                "prepared coverage state is layered on a different "
+                "TargetSubgraphIndex than the problem's"
+            )
+        self._state = state
 
     @property
     def name(self) -> str:
-        return "coverage" if self._state_kind == "array" else "coverage-set"
+        return "coverage"
 
     @property
-    def state_kind(self) -> str:
-        """``"array"`` (incremental kernel) or ``"set"`` (reference)."""
-        return self._state_kind
-
-    @property
-    def coverage_state(self) -> Union[CoverageState, SetCoverageState]:
+    def coverage_state(self) -> CoverageState:
         """The mutable coverage state this engine commits deletions into."""
         return self._state
 
-    @property
-    def supports_fast_top(self) -> bool:
-        """Whether :meth:`top_gain_edge` is answered incrementally (O(log m))
-        rather than by a full evaluation sweep."""
-        return self._state_kind == "array"
-
     def candidate_edges(self) -> Set[Edge]:
-        if self._restrict:
-            return self._state.candidate_edges()
-        if self._all_edges is None:
-            self._all_edges = self._problem.phase1_graph.edge_set()
-        return self._all_edges - self._deleted
+        return self._state.candidate_edges()
 
     def total_gain(self, edge: Edge) -> int:
         return self._state.gain(edge)
@@ -301,16 +261,10 @@ class CoverageEngine(MarginalGainEngine):
         return self._state.gain_for_target(edge, target)
 
     def commit(self, edge: Edge) -> Dict[Edge, int]:
-        edge = canonical_edge(*edge)
-        self._deleted.add(edge)
-        return self._state.delete_edge(edge)
+        return self._state.delete_edge(canonical_edge(*edge))
 
     def commit_many(self, edges: Sequence[Edge]) -> List[int]:
-        if self._state_kind != "array":
-            return super().commit_many(edges)
-        edges = [canonical_edge(*edge) for edge in edges]
-        self._deleted.update(edges)
-        return self._state.kill_sequence(edges)
+        return self._state.kill_sequence([canonical_edge(*edge) for edge in edges])
 
     def total_similarity(self) -> int:
         return self._state.total_similarity()
@@ -319,23 +273,21 @@ class CoverageEngine(MarginalGainEngine):
         return self._state.similarity_of(target)
 
     # ------------------------------------------------------------------
-    # whole-selection drivers (native array kernel only)
+    # whole-selection drivers (native kernel only)
     # ------------------------------------------------------------------
     @property
     def has_drivers(self) -> bool:
         """Whether whole SGB/CT/WT selections run in one native call
         (:meth:`drive_top_gain`, :meth:`drive_scored_pairs`).  True on the
-        array state with the native kernel; the runners' Python loops
-        serve every other engine and kernel."""
-        return self._state_kind == "array" and self._state.has_drivers
+        native kernel; the runners' Python loops serve the numpy kernel and
+        the recount engine."""
+        return self._state.has_drivers
 
     def drive_top_gain(self, budget: int) -> Tuple[List[Edge], List[int]]:
         """Commit SGB-Greedy's selection; see
         :meth:`CoverageState.drive_top_gain
         <repro.motifs.coverage.CoverageState.drive_top_gain>`."""
-        edges, killed = self._state.drive_top_gain(budget)
-        self._deleted.update(edges)
-        return edges, killed
+        return self._state.drive_top_gain(budget)
 
     def drive_scored_pairs(
         self,
@@ -348,43 +300,28 @@ class CoverageEngine(MarginalGainEngine):
         """Commit a CT-/WT-Greedy selection; see
         :meth:`CoverageState.drive_scored_pairs
         <repro.motifs.coverage.CoverageState.drive_scored_pairs>`."""
-        edges, charged, killed = self._state.drive_scored_pairs(
-            budget, constant, targets, quotas, within
-        )
-        self._deleted.update(edges)
-        return edges, charged, killed
+        return self._state.drive_scored_pairs(budget, constant, targets, quotas, within)
 
     # ------------------------------------------------------------------
     # batched queries: kernel fast paths
     # ------------------------------------------------------------------
     def top_gain_edge(self) -> Optional[Tuple[Edge, int]]:
-        if self._state_kind == "array":
-            return self._state.top_gain_edge()
-        return super().top_gain_edge()
+        return self._state.top_gain_edge()
 
     def top_k_edges(self, k: int) -> List[Tuple[Edge, int]]:
-        if self._state_kind == "array":
-            return self._state.top_gain_edges(k)
-        return super().top_k_edges(k)
+        return self._state.top_gain_edges(k)
 
     def iter_gain_breakdowns(self) -> Iterator[Tuple[Edge, int, Dict[Edge, int]]]:
-        if self._state_kind == "array":
-            for edge, total in self._state.iter_positive_gains():
-                yield edge, total, self._state.gain_by_target(edge)
-            return
-        yield from super().iter_gain_breakdowns()
+        for edge, total in self._state.iter_positive_gains():
+            yield edge, total, self._state.gain_by_target(edge)
 
     def target_gain_map(self, target: Edge) -> Dict[Edge, int]:
-        if self._state_kind == "array":
-            return self._state.gains_for_target(target)
-        return super().target_gain_map(target)
+        return self._state.gains_for_target(target)
 
     def best_scored_pair(
         self, targets: Sequence[Edge], constant: int
     ) -> Optional[Tuple[int, Edge, Edge]]:
-        if self._state_kind == "array":
-            return self._state.best_scored_pair(targets, constant)
-        return super().best_scored_pair(targets, constant)
+        return self._state.best_scored_pair(targets, constant)
 
 
 class RecountEngine(MarginalGainEngine):
@@ -454,7 +391,7 @@ class RecountEngine(MarginalGainEngine):
 
 
 #: Names accepted by :func:`make_engine`.
-ENGINE_NAMES = ("coverage", "coverage-set", "recount")
+ENGINE_NAMES = ("coverage", "recount")
 
 #: Either an engine name or an already-constructed engine instance.
 EngineLike = Union[str, MarginalGainEngine]
@@ -463,11 +400,9 @@ EngineLike = Union[str, MarginalGainEngine]
 def make_engine(problem: TPPProblem, engine: EngineLike = "coverage") -> MarginalGainEngine:
     """Return a marginal-gain engine by name (or pass an instance through).
 
-    ``"coverage"`` builds the scalable :class:`CoverageEngine` on the array
-    kernel (the ``-R`` algorithms); ``"coverage-set"`` builds the same engine
-    on the original hash-set state (reference implementation, used by the
-    differential tests and old-vs-new benchmarks); ``"recount"`` builds the
-    naive :class:`RecountEngine` (the paper's base algorithms).
+    ``"coverage"`` builds the scalable :class:`CoverageEngine` (the ``-R``
+    algorithms); ``"recount"`` builds the naive :class:`RecountEngine` (the
+    paper's base algorithms).
 
     An already-constructed :class:`MarginalGainEngine` is returned unchanged —
     this is how :class:`repro.service.ProtectionService` injects engines built
@@ -479,8 +414,6 @@ def make_engine(problem: TPPProblem, engine: EngineLike = "coverage") -> Margina
     name = engine.lower()
     if name == "coverage":
         return CoverageEngine(problem)
-    if name == "coverage-set":
-        return CoverageEngine(problem, state="set")
     if name == "recount":
         return RecountEngine(problem)
     raise EngineError(f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}")

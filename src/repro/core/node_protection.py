@@ -132,11 +132,10 @@ def protect_target_nodes(
     budget_division:
         Budget division for the multi-local-budget algorithms.
     engine:
-        Marginal-gain engine (``"coverage"``, ``"coverage-set"`` or
-        ``"recount"``).
+        Marginal-gain engine (``"coverage"`` or ``"recount"``).
     lazy:
         Lazy evaluation for the SGB greedy (default: on for the coverage
-        engines); ignored by the other algorithms.
+        engine); ignored by the other algorithms.
     """
     targets = node_targets(graph, nodes)
     problem = TPPProblem(graph, targets, motif=motif)

@@ -144,20 +144,15 @@ def sgb_greedy_bb(
 
 
 def _search_state(problem: TPPProblem, gain_engine) -> CoverageState:
-    """Return an array coverage state mirroring the engine's current graph.
+    """Return a coverage state mirroring the engine's current graph.
 
     An injected coverage engine contributes its already-committed deletions
-    (the session API passes engines built on a copy of its pristine state);
-    its own state is reused via ``copy()`` when it is already the array
-    kind, so no re-enumeration happens on the hot path.
+    (the session API passes engines built on a copy of its pristine state)
+    through a ``copy()`` of its state, so no re-enumeration happens on the
+    hot path.
     """
     if isinstance(gain_engine, CoverageEngine):
-        state = gain_engine.coverage_state
-        if isinstance(state, CoverageState):
-            return state.copy()
-        fresh = problem.build_index().new_state()
-        fresh.delete_edges(state.deleted_edges)
-        return fresh
+        return gain_engine.coverage_state.copy()
     return problem.build_index().new_state()
 
 

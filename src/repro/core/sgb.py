@@ -6,7 +6,7 @@ subgraphs (over *all* targets) is deleted.  Because the dissimilarity is
 monotone and submodular (Lemmas 1–2), the greedy selection is a ``1 - 1/e``
 approximation of the optimal protector set (Theorem 3).
 
-Three evaluation strategies are available (see :mod:`repro.core.engines`):
+Two evaluation strategies are available (see :mod:`repro.core.engines`):
 
 * ``engine="recount"`` reproduces the paper's non-scalable SGB-Greedy;
 * ``engine="coverage"`` is the scalable SGB-Greedy-R of Lemma 5, and by
@@ -17,21 +17,18 @@ Three evaluation strategies are available (see :mod:`repro.core.engines`):
   needed — and it selects the identical protector sequence as the plain
   sweep (tie-breaking included).  On the native kernel the whole
   selection runs in one C call (:meth:`CoverageEngine.drive_top_gain`);
-  the Python pop-commit loop serves the numpy kernel;
-* ``engine="coverage-set"`` is the original hash-set implementation, kept as
-  the reference; its lazy mode uses the classic CELF stale-upper-bound heap.
+  the Python pop-commit loop serves the numpy kernel.
 
-Pass ``lazy=False`` to force the full evaluation sweep on any engine.
+Pass ``lazy=False`` to force the full evaluation sweep on either engine.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.core.engines import CoverageEngine, EngineLike, MarginalGainEngine, make_engine
+from repro.core.engines import CoverageEngine, EngineLike, make_engine
 from repro.core.model import ProtectionResult, TPPProblem
-from repro.core.selection import Stopwatch, argmax_edge, edge_sort_key, similarity_trace
+from repro.core.selection import Stopwatch, argmax_edge, similarity_trace
 from repro.exceptions import BudgetError, EngineError
 from repro.graphs.graph import Edge
 
@@ -53,18 +50,16 @@ def sgb_greedy(
     budget:
         Maximum number of protector deletions ``k``.
     engine:
-        ``"coverage"`` (scalable, SGB-Greedy-R), ``"coverage-set"`` (the
-        hash-set reference implementation), ``"recount"`` (naive,
+        ``"coverage"`` (scalable, SGB-Greedy-R), ``"recount"`` (naive,
         SGB-Greedy), or an already-constructed
         :class:`~repro.core.engines.MarginalGainEngine` (the session API
         passes engines built on a copy of its pristine coverage state).
     lazy:
-        Use lazy (CELF-style) evaluation instead of a full candidate sweep
-        per step.  Defaults to ``True`` on the coverage engines and ``False``
-        on the recount engine (which does not support it).  Produces the same
-        protector selection as the plain sweep (identical tie-breaking on the
-        array kernel, identical up to ties on the set state); typically much
-        faster on large graphs.
+        Pop the maximum-gain edge off the kernel's heap instead of running a
+        full candidate sweep per step.  Defaults to ``True`` on the coverage
+        engine and ``False`` on the recount engine (which does not support
+        it).  Produces the same protector selection as the plain sweep,
+        tie-breaking included; typically much faster on large graphs.
 
     Returns
     -------
@@ -92,7 +87,7 @@ def sgb_greedy(
         # the whole pop-commit loop below, in one native call
         protectors, killed = gain_engine.drive_top_gain(budget)
         trace = similarity_trace(trace[0], killed)
-    elif lazy and gain_engine.supports_fast_top:
+    elif lazy:
         # the kernel's heap holds *exact* live gains: pop, commit, repeat
         while len(protectors) < budget:
             best = gain_engine.top_gain_edge()
@@ -102,8 +97,6 @@ def sgb_greedy(
             gain_engine.commit(edge)
             protectors.append(edge)
             trace.append(gain_engine.total_similarity())
-    elif lazy:
-        protectors, trace = _celf_selection(gain_engine, budget, trace)
     else:
         while len(protectors) < budget:
             best = argmax_edge(gain_engine.candidate_edges(), gain_engine.total_gain)
@@ -125,41 +118,3 @@ def sgb_greedy(
         extra={"engine": gain_engine.name, "lazy": lazy},
     )
 
-
-def _celf_selection(
-    engine: MarginalGainEngine, budget: int, trace: List[int]
-) -> Tuple[List[Edge], List[int]]:
-    """Classic CELF lazy greedy over stale upper bounds.
-
-    Used for engines without exact incremental counters (the hash-set
-    reference state).  Maintains a max-heap of (stale) upper bounds on each
-    candidate's gain; submodularity guarantees a candidate whose refreshed
-    gain still tops the heap is the true argmax, so most candidates are never
-    re-evaluated.
-    """
-    protectors: List[Edge] = []
-    heap = []
-    # reprolint: disable=R1-set-iteration(heap entries carry the total key (-gain, edge_sort_key, edge), so pop order is independent of push order)
-    for edge in engine.candidate_edges():
-        gain = engine.total_gain(edge)
-        if gain > 0:
-            # negative gain for max-heap behaviour; round counter marks freshness
-            heapq.heappush(heap, (-gain, edge_sort_key(edge), edge, 0))
-
-    current_round = 0
-    while len(protectors) < budget and heap:
-        neg_gain, _, edge, evaluated_round = heapq.heappop(heap)
-        if evaluated_round == current_round:
-            if -neg_gain <= 0:
-                break
-            engine.commit(edge)
-            protectors.append(edge)
-            trace.append(engine.total_similarity())
-            current_round += 1
-        else:
-            refreshed = engine.total_gain(edge)
-            if refreshed > 0:
-                heapq.heappush(
-                    heap, (-refreshed, edge_sort_key(edge), edge, current_round)
-                )
-    return protectors, trace

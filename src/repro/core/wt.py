@@ -48,8 +48,7 @@ def wt_greedy(
         ``"tbd"``, ``"dbd"``, ``"uniform"`` or an explicit target -> budget
         mapping.
     engine:
-        ``"coverage"`` (WT-Greedy-R, array kernel), ``"coverage-set"``
-        (reference hash-set state), ``"recount"`` (WT-Greedy), or an
+        ``"coverage"`` (WT-Greedy-R), ``"recount"`` (WT-Greedy), or an
         already-constructed engine instance.
     target_order:
         Optional explicit processing order of the targets; defaults to the

@@ -46,10 +46,9 @@ class RuntimeComparison:
         )
 
 
-#: Legend suffix per engine: the array kernel and the hash-set reference are
-#: both "-R" (scalable) implementations, distinguished so old-vs-new engine
-#: comparisons can be read off one runtime table.
-_ENGINE_SUFFIXES = {"coverage": "-R", "coverage-set": "-R(set)", "recount": ""}
+#: Legend suffix per engine: the coverage kernel is the paper's scalable
+#: "-R" implementation, the recount engine its plain one.
+_ENGINE_SUFFIXES = {"coverage": "-R", "recount": ""}
 
 
 def _label(method: str, engine: str) -> str:

@@ -11,7 +11,6 @@ from repro.motifs.base import (
 from repro.motifs.enumeration import (
     CoverageState,
     InstanceId,
-    SetCoverageState,
     TargetSubgraphIndex,
 )
 from repro.motifs.extra import Clique4Motif, CliqueMotif, Path4Motif, PathMotif
@@ -46,7 +45,6 @@ __all__ = [
     "Clique4Motif",
     "TargetSubgraphIndex",
     "CoverageState",
-    "SetCoverageState",
     "InstanceId",
     "similarity",
     "similarity_by_target",

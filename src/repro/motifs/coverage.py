@@ -29,9 +29,12 @@ per-target pair validation behind
 The selector is resolved at construction (``kernel="auto"`` prefers
 native when loadable; ``REPRO_NATIVE=0`` forces the fallback; an
 explicit ``kernel="native"`` raises
-:class:`~repro.exceptions.NativeKernelError` when unsatisfiable) and the
-differential property tests pin both kernels against each other and
-against :class:`SetCoverageState`, the original hash-set formulation.
+:class:`~repro.exceptions.NativeKernelError` when unsatisfiable).  The
+differential property tests pin the native kernel against the numpy one
+(``tests/property/test_native_driver_differential.py``) and the numpy
+kernel against the ``recount`` engine, which recounts motifs from the
+graph and shares nothing with the index
+(``tests/property/test_kernel_differential.py``).
 
 Native states ``copy()`` (heaps included, so a copy of a prepared
 prototype starts warm) and pickle like numpy ones: the ctypes handle,
@@ -70,7 +73,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CoverageState",
-    "SetCoverageState",
     "InstanceId",
 ]
 
@@ -1052,126 +1054,3 @@ class CoverageState:
         # a native-backed state may land in a process without a compiler or
         # prebuilt artifact; _init_runtime degrades it to the numpy kernel
         self._init_runtime()
-
-
-class SetCoverageState:
-    """Hash-set reference implementation of the coverage state.
-
-    This is the original (pre-kernel) formulation: alive instances in a set,
-    gains recomputed by scanning the inverted index on every query.  It is
-    retained as the executable specification for differential tests and the
-    old-vs-new micro-benchmark (``benchmarks/bench_engine_kernel.py``); use
-    :meth:`TargetSubgraphIndex.new_state` for real workloads.
-    """
-
-    def __init__(self, index: "TargetSubgraphIndex") -> None:
-        self._index = index
-        self._alive: Set[InstanceId] = set(range(index.number_of_instances()))
-        self._alive_by_target: Dict[Edge, int] = {
-            target: index.initial_similarity(target) for target in index.targets
-        }
-        self._deleted_edges: List[Edge] = []
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    @property
-    def index(self) -> "TargetSubgraphIndex":
-        """The immutable index this state is layered on."""
-        return self._index
-
-    @property
-    def deleted_edges(self) -> Tuple[Edge, ...]:
-        """Edges deleted so far, in deletion order."""
-        return tuple(self._deleted_edges)
-
-    def total_similarity(self) -> int:
-        """Return the current ``s(P, T)`` (alive instances)."""
-        return len(self._alive)
-
-    def similarity_of(self, target: Edge) -> int:
-        """Return the current ``s(P, t)`` for ``target``."""
-        return self._alive_by_target[canonical_edge(*target)]
-
-    def similarity_by_target(self) -> Dict[Edge, int]:
-        """Return the current per-target similarities."""
-        return dict(self._alive_by_target)
-
-    def is_fully_protected(self) -> bool:
-        """Return whether every target subgraph has been broken."""
-        return not self._alive
-
-    def gain(self, edge: Edge) -> int:
-        """Return how many alive instances deleting ``edge`` would break."""
-        instances = self._index.instances_containing(edge)
-        if not instances:
-            return 0
-        return sum(1 for instance_id in instances if instance_id in self._alive)
-
-    def gain_by_target(self, edge: Edge) -> Dict[Edge, int]:
-        """Return per-target counts of alive instances ``edge`` would break.
-
-        Instance ids are visited in sorted order; because ids are contiguous
-        per target in target-input order, the resulting dict lists targets in
-        the same order as the array kernel and the recount engine — CT's
-        strict tie-breaking depends on that shared iteration order.
-        """
-        gains: Dict[Edge, int] = {}
-        for instance_id in sorted(self._index.instances_containing(edge)):
-            if instance_id in self._alive:
-                target = self._index.target_of_instance(instance_id)
-                gains[target] = gains.get(target, 0) + 1
-        return gains
-
-    def gain_for_target(self, edge: Edge, target: Edge) -> int:
-        """Return alive instances of ``target`` that deleting ``edge`` breaks."""
-        target = canonical_edge(*target)
-        count = 0
-        for instance_id in self._index.instances_containing(edge):
-            if instance_id in self._alive and self._index.target_of_instance(
-                instance_id
-            ) == target:
-                count += 1
-        return count
-
-    def candidate_edges(self) -> Set[Edge]:
-        """Return undeleted edges that still break at least one alive instance."""
-        candidates: Set[Edge] = set()
-        deleted = set(self._deleted_edges)
-        # reprolint: disable=R1-set-iteration(loop only accumulates into the candidates set; set construction is order-insensitive)
-        for edge in self._index.candidate_edges():
-            if edge not in deleted and self.gain(edge) > 0:
-                candidates.add(edge)
-        return candidates
-
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-    def delete_edge(self, edge: Edge) -> Dict[Edge, int]:
-        """Delete ``edge`` and return the per-target counts of broken instances."""
-        edge = canonical_edge(*edge)
-        broken: Dict[Edge, int] = {}
-        for instance_id in self._index.instances_containing(edge):
-            if instance_id in self._alive:
-                self._alive.discard(instance_id)
-                target = self._index.target_of_instance(instance_id)
-                broken[target] = broken.get(target, 0) + 1
-                self._alive_by_target[target] -= 1
-        self._deleted_edges.append(edge)
-        return broken
-
-    def delete_edges(self, edges: Iterable[Edge]) -> Dict[Edge, int]:
-        """Delete several edges; return aggregated per-target broken counts."""
-        total: Dict[Edge, int] = {}
-        for edge in edges:
-            for target, count in self.delete_edge(edge).items():
-                total[target] = total.get(target, 0) + count
-        return total
-
-    def copy(self) -> "SetCoverageState":
-        """Return an independent copy of this state (same underlying index)."""
-        clone = SetCoverageState(self._index)
-        clone._alive = set(self._alive)
-        clone._alive_by_target = dict(self._alive_by_target)
-        clone._deleted_edges = list(self._deleted_edges)
-        return clone

@@ -53,14 +53,13 @@ loops.  The seed's loops are retained behind ``assembly="python"`` as the
 executable reference — both paths produce byte-identical arrays (pinned by
 ``tests/property/test_index_build_equivalence.py``).
 
-:class:`SetCoverageState` preserves the previous hash-set implementation as an
-executable reference: the differential tests in
-``tests/property/test_kernel_differential.py`` assert that the kernel, the set
-state and a from-scratch recount agree on every trace.
+The differential tests in ``tests/property/test_kernel_differential.py``
+assert that the kernel and a from-scratch recount of the graph agree on
+every trace.
 
-The mutable states themselves live in :mod:`repro.motifs.coverage` (split
-out so the native-vs-numpy kernel dispatch is explicit); they are
-re-exported here for backwards compatibility.
+The mutable state itself lives in :mod:`repro.motifs.coverage` (split out
+so the native-vs-numpy kernel dispatch is explicit); it is re-exported
+here.
 """
 
 from __future__ import annotations
@@ -78,14 +77,12 @@ from repro.motifs.coverage import (  # noqa: F401  (re-exported API)
     _SCALAR_KILL_THRESHOLD,
     CoverageState,
     InstanceId,
-    SetCoverageState,
     _flat_ranges,
 )
 
 __all__ = [
     "TargetSubgraphIndex",
     "CoverageState",
-    "SetCoverageState",
     "InstanceId",
     "INDEX_ARRAY_FIELDS",
 ]
@@ -275,9 +272,8 @@ class TargetSubgraphIndex:
         self._pair_layout = layout
 
         # edge -> frozenset(instance ids), materialised lazily on first use:
-        # only the tuple-level accessors and SetCoverageState need it (the
-        # kernel reads the CSR directly), but once built it must be O(1) per
-        # lookup so the set state keeps the seed implementation's cost profile
+        # only the tuple-level accessors need it (the kernel reads the CSR
+        # directly)
         self._edge_to_instances: Optional[Dict[Edge, FrozenSet[InstanceId]]] = None
 
     @classmethod
@@ -675,14 +671,6 @@ class TargetSubgraphIndex:
         are observably bit-identical.
         """
         return CoverageState(self, kernel=kernel)
-
-    def new_set_state(self) -> "SetCoverageState":
-        """Return the hash-set reference implementation of the state.
-
-        Slower than :meth:`new_state`; kept as the executable specification
-        the kernel is differentially tested against.
-        """
-        return SetCoverageState(self)
 
     # ------------------------------------------------------------------
     # internal helpers shared with the states

@@ -24,7 +24,7 @@ session-served runs trace deletions on the shared index.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from repro.core.baselines import random_deletion, random_target_subgraph_deletion
 from repro.core.ct import ct_greedy
@@ -33,15 +33,13 @@ from repro.core.model import ProtectionResult, TPPProblem
 from repro.core.refine import sgb_greedy_bb
 from repro.core.sgb import sgb_greedy
 from repro.core.wt import wt_greedy
-from repro.motifs.enumeration import CoverageState, SetCoverageState
+from repro.motifs.enumeration import CoverageState
 from repro.service.registry import register_method
 
 __all__ = []  # registration side effects only
 
 
-def _prepared_state(
-    engine: EngineLike,
-) -> Optional[Union[CoverageState, SetCoverageState]]:
+def _prepared_state(engine: EngineLike) -> Optional[CoverageState]:
     """Return the coverage state of an injected engine (None for names)."""
     if isinstance(engine, CoverageEngine):
         return engine.coverage_state

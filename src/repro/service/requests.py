@@ -36,10 +36,10 @@ class ProtectionRequest:
     budget:
         Deletion budget ``k``.
     engine:
-        ``"coverage"`` (array kernel, default), ``"coverage-set"`` or
-        ``"recount"``.  The session serves the coverage engines from a copy
-        of its pristine state; ``"recount"`` rebuilds by design (it *is* the
-        naive baseline).
+        ``"coverage"`` (coverage kernel, default) or ``"recount"``.  The
+        session serves the coverage engine from a copy of its pristine
+        state; ``"recount"`` rebuilds by design (it *is* the naive
+        baseline).
     seed:
         Random seed (used by the baselines; ignored by the greedy methods).
     budget_division:

@@ -37,13 +37,13 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.engines import CoverageEngine, MarginalGainEngine
+from repro.core.engines import CoverageEngine
 from repro.core.model import ProtectionResult, TPPProblem
 from repro.core.selection import Stopwatch, similarity_trace
 from repro.exceptions import ExperimentError
 from repro.graphs.graph import Edge, Graph, canonical_edge, edge_sort_key
 from repro.motifs.base import MotifPattern
-from repro.motifs.enumeration import CoverageState, SetCoverageState, TargetSubgraphIndex
+from repro.motifs.enumeration import CoverageState, TargetSubgraphIndex
 from repro.service import builtin  # noqa: F401  (registers the built-in methods)
 from repro.service.registry import get_method
 from repro.service.requests import ProtectionRequest
@@ -134,7 +134,6 @@ class ProtectionService:
         # reprolint: guarded-by(_lock)
         self._prototype = _new_prototype(problem, self._index, kernel)
         self._build_seconds = stopwatch.elapsed()  # reprolint: guarded-by(_lock)
-        self._set_prototype: Optional[SetCoverageState] = None  # reprolint: guarded-by(_lock)
         # reprolint: guarded-by(_lock)
         self._subsessions: "OrderedDict[Tuple[Edge, ...], ProtectionService]" = (
             OrderedDict()
@@ -387,7 +386,7 @@ class ProtectionService:
         engine = (
             engine_name
             if engine_name == "recount"
-            else self._make_engine(engine_name, problem, prototype, index)
+            else CoverageEngine(problem, state=prototype.copy())
         )
         result = spec.runner(
             problem, request.budget, engine, request.seed, **request.options()
@@ -518,7 +517,6 @@ class ProtectionService:
                 self._problem = new_problem
                 self._index = outcome.index
                 self._prototype = new_prototype
-                self._set_prototype = None
                 self._build_seconds = build_seconds
                 self._index_source = "delta"
                 self._deltas_applied += 1
@@ -541,35 +539,6 @@ class ProtectionService:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _make_engine(
-        self,
-        engine: str,
-        problem: TPPProblem,
-        prototype: Union[CoverageState, SetCoverageState],
-        index: TargetSubgraphIndex,
-    ) -> MarginalGainEngine:
-        if engine == "coverage":
-            return CoverageEngine(problem, state=prototype.copy())
-        if engine == "coverage-set":
-            with self._lock:
-                set_prototype = self._set_prototype
-                if set_prototype is None:
-                    set_prototype = index.new_set_state()
-                    # cache only while the session still serves this index: a
-                    # delta swap in the meantime cleared the slot for *its*
-                    # index, and this (now stale) prototype must not fill it
-                    if self._index is index:
-                        self._set_prototype = set_prototype
-            return CoverageEngine(problem, state=set_prototype.copy())
-        # "recount" deliberately has no branch here: solve() passes that
-        # engine *name* through so the runner builds the RecountEngine inside
-        # its own timed region (the initial full recount must be charged to
-        # runtime_seconds — it is part of the naive baseline's cost)
-        raise ExperimentError(
-            f"unexpected engine {engine!r}: recount engines are built by the "
-            "method runner, not the session"
-        )
-
     def _subset_session(
         self,
         targets: Tuple[Edge, ...],

@@ -133,7 +133,7 @@ class TestZeroOwnGainFallback:
         )
         return TPPProblem(graph, [(0, 1), (8, 9), (2, 3)], motif="triangle")
 
-    @pytest.mark.parametrize("engine", ["coverage", "coverage-set", "recount"])
+    @pytest.mark.parametrize("engine", ["coverage", "recount"])
     def test_fallback_charges_target_with_most_remaining_budget(
         self, fallback_problem, engine
     ):

@@ -31,22 +31,18 @@ class TestMakeEngine:
         assert isinstance(make_engine(problem, "coverage"), CoverageEngine)
         assert isinstance(make_engine(problem, "recount"), RecountEngine)
 
-    def test_factory_set_state(self, problem):
-        engine = make_engine(problem, "coverage-set")
-        assert isinstance(engine, CoverageEngine)
-        assert engine.state_kind == "set"
-        assert not engine.supports_fast_top
-        assert make_engine(problem, "coverage").state_kind == "array"
-        assert make_engine(problem, "coverage").supports_fast_top
-
     def test_unknown_engine(self, problem):
+        for name in ("magic", "coverage-set"):
+            with pytest.raises(EngineError):
+                make_engine(problem, name)
+
+    def test_prepared_state_must_share_the_index(self, problem):
+        other = TPPProblem(problem.graph, problem.targets, motif="triangle")
         with pytest.raises(EngineError):
-            make_engine(problem, "magic")
-        with pytest.raises(EngineError):
-            CoverageEngine(problem, state="magic")
+            CoverageEngine(problem, state=other.build_index().new_state())
 
 
-@pytest.mark.parametrize("engine_name", ["coverage", "coverage-set", "recount"])
+@pytest.mark.parametrize("engine_name", ["coverage", "recount"])
 class TestEngineBehaviour:
     def test_initial_similarity(self, problem, engine_name):
         engine = make_engine(problem, engine_name)
@@ -81,17 +77,10 @@ class TestEngineBehaviour:
 
 class TestCandidateSets:
     def test_coverage_restricts_candidates(self, problem):
-        engine = CoverageEngine(problem, restrict_candidates=True)
+        engine = CoverageEngine(problem)
         candidates = engine.candidate_edges()
         assert (7, 8) not in candidates
         assert (0, 4) in candidates
-
-    def test_coverage_unrestricted_offers_all_edges(self, problem):
-        engine = CoverageEngine(problem, restrict_candidates=False)
-        candidates = engine.candidate_edges()
-        assert (7, 8) in candidates
-        engine.commit((7, 8))
-        assert (7, 8) not in engine.candidate_edges()
 
     def test_recount_offers_all_remaining_edges(self, problem):
         engine = RecountEngine(problem)
@@ -106,7 +95,7 @@ class TestCandidateSets:
             assert (2, 3) not in engine.candidate_edges()
 
 
-@pytest.mark.parametrize("engine_name", ["coverage", "coverage-set", "recount"])
+@pytest.mark.parametrize("engine_name", ["coverage", "recount"])
 class TestBatchedProtocol:
     """The batched queries (kernel fast paths and generic defaults) agree."""
 

@@ -66,7 +66,7 @@ class TestSgbGreedyBB:
     def test_engines_agree(self, problem):
         results = [
             sgb_greedy_bb(problem, 4, engine=engine)
-            for engine in ("coverage", "coverage-set", "recount")
+            for engine in ("coverage", "recount")
         ]
         baseline = results[0]
         for other in results[1:]:

@@ -5,7 +5,7 @@ import pytest
 from repro.exceptions import MotifError
 from repro.graphs.graph import Graph
 from repro.motifs.enumeration import TargetSubgraphIndex
-from repro.motifs.similarity import total_similarity
+from repro.motifs.similarity import similarity_by_target, total_similarity
 
 
 @pytest.fixture
@@ -125,6 +125,23 @@ class TestCoverageState:
         assert state.total_similarity() == 3
         assert clone.total_similarity() == 2
 
+    def test_matches_recount_after_deletion(self, phase1_graph):
+        state = TargetSubgraphIndex(phase1_graph, TARGETS, "triangle").new_state()
+        assert state.delete_edge((0, 4)) == {(0, 1): 1}
+        reduced = phase1_graph.without_edges([(0, 4)])
+        assert state.similarity_by_target() == similarity_by_target(
+            reduced, TARGETS, "triangle"
+        )
+        remaining = total_similarity(reduced, TARGETS, "triangle")
+        gains = {
+            edge: remaining
+            - total_similarity(reduced.without_edges([edge]), TARGETS, "triangle")
+            for edge in reduced.edges()
+        }
+        for edge, gain in gains.items():
+            assert state.gain(edge) == gain
+        assert state.candidate_edges() == {edge for edge, gain in gains.items() if gain > 0}
+
     def test_deleted_edges_recorded_in_order(self, phase1_graph):
         state = TargetSubgraphIndex(phase1_graph, TARGETS, "triangle").new_state()
         state.delete_edges([(0, 4), (0, 5)])
@@ -178,23 +195,3 @@ class TestArrayKernel:
         state.delete_edge((0, 2))
         assert state.gains_for_target((2, 3)) == {}
 
-
-class TestSetStateParity:
-    """The hash-set reference state mirrors the kernel on the fixture."""
-
-    def test_new_set_state_matches_kernel(self, phase1_graph):
-        index = TargetSubgraphIndex(phase1_graph, TARGETS, "triangle")
-        kernel, reference = index.new_state(), index.new_set_state()
-        for edge in sorted(phase1_graph.edges()):
-            assert kernel.gain(edge) == reference.gain(edge)
-        assert kernel.candidate_edges() == reference.candidate_edges()
-        assert kernel.delete_edge((0, 4)) == reference.delete_edge((0, 4))
-        assert kernel.total_similarity() == reference.total_similarity()
-        assert kernel.similarity_by_target() == reference.similarity_by_target()
-
-    def test_set_state_copy_independent(self, phase1_graph):
-        reference = TargetSubgraphIndex(phase1_graph, TARGETS, "triangle").new_set_state()
-        clone = reference.copy()
-        clone.delete_edge((0, 4))
-        assert reference.total_similarity() == 3
-        assert clone.total_similarity() == 2

@@ -1,12 +1,14 @@
-"""Differential tests: array kernel vs hash-set reference vs naive recount.
+"""Differential tests: coverage kernel vs naive recount.
 
-The array-backed coverage kernel (``CoverageState``), the original hash-set
-state (``SetCoverageState``) and a from-scratch recount of the graph are
-three implementations of the same semantics.  These tests assert they are
-indistinguishable — identical marginal gains, identical similarity traces and
-identical protector sequences (the tie-breaking is shared: smallest
-``edge_sort_key`` among maxima) — across all three paper motifs on random
-graphs.
+The coverage kernel (``CoverageState`` over the target-subgraph index) and
+a from-scratch recount of the graph (the ``recount`` engine, which shares
+nothing with the index) are two implementations of the same semantics.
+These tests assert they are indistinguishable — identical marginal gains,
+identical similarity traces and identical protector sequences (the
+tie-breaking is shared: smallest ``edge_sort_key`` among maxima) — across
+the three paper motifs, ``path4`` and a tuple-only custom motif on random
+graphs.  The native kernel is pinned to the numpy one separately
+(``test_native_driver_differential.py``, ``tests/motifs/test_native_kernel.py``).
 """
 
 import random
@@ -15,12 +17,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ct import ct_greedy
+from repro.core.engines import make_engine
 from repro.core.model import TPPProblem
 from repro.core.sgb import sgb_greedy
 from repro.core.wt import wt_greedy
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, canonical_edge
+from repro.motifs.base import MotifPattern
 
-ENGINES = ("coverage", "coverage-set", "recount")
+ENGINES = ("coverage", "recount")
+
+
+class TupleOnlyTriangle(MotifPattern):
+    """A custom motif with no id-space override (exercises the fallback)."""
+
+    name = "tuple-only-triangle"
+
+    def enumerate_instances(self, graph, target):
+        u, v = target
+        if not (graph.has_node(u) and graph.has_node(v)):
+            return
+        for w in graph.common_neighbors(u, v):
+            yield frozenset((self._canonical(u, w), self._canonical(w, v)))
+
+
+MOTIFS = ("triangle", "rectangle", "rectri", "path4", TupleOnlyTriangle())
+MOTIF_INDEX = st.integers(min_value=0, max_value=len(MOTIFS) - 1)
+
+
+def positive_gain_edges(engine):
+    """The recount engine's candidates that still break a target subgraph."""
+    return {edge for edge in engine.candidate_edges() if engine.total_gain(edge) > 0}
 
 
 def build_problem(seed: int, motif_index: int):
@@ -37,35 +63,36 @@ def build_problem(seed: int, motif_index: int):
         return None
     rng.shuffle(edges)
     targets = edges[: rng.randint(1, 3)]
-    motif = ("triangle", "rectangle", "rectri")[motif_index % 3]
-    return TPPProblem(graph, targets, motif=motif)
+    return TPPProblem(graph, targets, motif=MOTIFS[motif_index])
 
 
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=2))
+@given(st.integers(min_value=0, max_value=10_000), MOTIF_INDEX)
 @settings(max_examples=30, deadline=None)
 def test_states_agree_on_gains_and_deletions(seed, motif_index):
-    """Array kernel and set state answer every query identically along a
-    random deletion sequence."""
+    """The kernel state and the recount engine answer every query
+    identically along a random deletion sequence."""
     problem = build_problem(seed, motif_index)
     if problem is None:
         return
-    index = problem.build_index()
-    kernel = index.new_state()
-    reference = index.new_set_state()
+    kernel = problem.build_index().new_state()
+    reference = make_engine(problem, "recount")
     rng = random.Random(seed + 17)
     edges = sorted(problem.phase1_graph.edges())
     rng.shuffle(edges)
-    for edge in edges[: min(6, len(edges))]:
-        assert kernel.gain(edge) == reference.gain(edge)
+    deleted = edges[: min(6, len(edges))]
+    for edge in deleted:
+        assert kernel.gain(edge) == reference.total_gain(edge)
         assert kernel.gain_by_target(edge) == reference.gain_by_target(edge)
-        assert kernel.delete_edge(edge) == reference.delete_edge(edge)
+        assert kernel.delete_edge(edge) == reference.commit(edge)
         assert kernel.total_similarity() == reference.total_similarity()
-        assert kernel.similarity_by_target() == reference.similarity_by_target()
-        assert kernel.candidate_edges() == reference.candidate_edges()
-    assert kernel.deleted_edges == reference.deleted_edges
+        assert kernel.similarity_by_target() == {
+            target: reference.similarity_of(target) for target in problem.targets
+        }
+        assert kernel.candidate_edges() == positive_gain_edges(reference)
+    assert kernel.deleted_edges == tuple(canonical_edge(*edge) for edge in deleted)
 
 
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=2))
+@given(st.integers(min_value=0, max_value=10_000), MOTIF_INDEX)
 @settings(max_examples=30, deadline=None)
 def test_kernel_top_gain_matches_full_scan(seed, motif_index):
     """The heap-backed top_gain_edge equals the argmax of a full gain sweep,
@@ -87,11 +114,11 @@ def test_kernel_top_gain_matches_full_scan(seed, motif_index):
         state.delete_edge(top[0])
 
 
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=2))
+@given(st.integers(min_value=0, max_value=10_000), MOTIF_INDEX)
 @settings(max_examples=25, deadline=None)
 def test_sgb_identical_across_all_engines(seed, motif_index):
     """SGB selects the identical protector sequence and similarity trace on
-    the kernel, the set reference and the naive recount."""
+    the kernel and the naive recount."""
     problem = build_problem(seed, motif_index)
     if problem is None:
         return
@@ -103,7 +130,7 @@ def test_sgb_identical_across_all_engines(seed, motif_index):
         assert result.similarity_trace == baseline.similarity_trace
 
 
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=2))
+@given(st.integers(min_value=0, max_value=10_000), MOTIF_INDEX)
 @settings(max_examples=15, deadline=None)
 def test_ct_identical_across_all_engines(seed, motif_index):
     problem = build_problem(seed, motif_index)
@@ -121,7 +148,7 @@ def test_ct_identical_across_all_engines(seed, motif_index):
         assert result.allocation == baseline.allocation
 
 
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=2))
+@given(st.integers(min_value=0, max_value=10_000), MOTIF_INDEX)
 @settings(max_examples=15, deadline=None)
 def test_wt_identical_across_all_engines(seed, motif_index):
     problem = build_problem(seed, motif_index)
@@ -139,21 +166,19 @@ def test_wt_identical_across_all_engines(seed, motif_index):
         assert result.allocation == baseline.allocation
 
 
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=2))
+@given(st.integers(min_value=0, max_value=10_000), MOTIF_INDEX)
 @settings(max_examples=20, deadline=None)
 def test_best_scored_pair_heap_matches_full_sweep(seed, motif_index):
     """The kernel's per-target-heap argmax over (target, edge) pairs equals
-    the generic edge-major sweep on the set engine — key, charged target and
-    selected edge — along a full greedy deletion sequence, for both the
+    the generic edge-major sweep on the recount engine — key, charged target
+    and selected edge — along a full greedy deletion sequence, for both the
     all-targets (CT) and single-target (WT) query shapes."""
-    from repro.core.engines import make_engine
-
     problem = build_problem(seed, motif_index)
     if problem is None:
         return
     constant = max(problem.constant, 1)
     kernel = make_engine(problem, "coverage")
-    reference = make_engine(problem, "coverage-set")
+    reference = make_engine(problem, "recount")
     targets = problem.targets
     # alternate between the CT shape (all targets) and the WT shape (each
     # target alone) so the heaps are exercised under both access patterns
@@ -169,11 +194,11 @@ def test_best_scored_pair_heap_matches_full_sweep(seed, motif_index):
         assert kernel.commit(edge) == reference.commit(edge)
 
 
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=2))
+@given(st.integers(min_value=0, max_value=10_000), MOTIF_INDEX)
 @settings(max_examples=20, deadline=None)
 def test_kernel_copy_is_independent_and_equivalent(seed, motif_index):
     """A copied kernel state diverges independently and still answers like a
-    fresh reference state replaying the same deletions."""
+    fresh recount engine replaying the same deletions."""
     problem = build_problem(seed, motif_index)
     if problem is None:
         return
@@ -187,18 +212,19 @@ def test_kernel_copy_is_independent_and_equivalent(seed, motif_index):
     clone = state.copy()
     clone.delete_edges(suffix)
     # original untouched by the clone's deletions
-    reference = index.new_set_state()
-    reference.delete_edges(prefix)
+    reference = make_engine(problem, "recount")
+    reference.commit_many(prefix)
     assert state.total_similarity() == reference.total_similarity()
-    assert state.candidate_edges() == reference.candidate_edges()
-    # clone matches a reference replay of the full sequence
-    reference.delete_edges(suffix)
+    assert state.candidate_edges() == positive_gain_edges(reference)
+    # clone matches a recount replay of the full sequence
+    reference.commit_many(suffix)
     assert clone.total_similarity() == reference.total_similarity()
-    assert clone.candidate_edges() == reference.candidate_edges()
+    candidates = positive_gain_edges(reference)
+    assert clone.candidate_edges() == candidates
     top = clone.top_gain_edge()
     if top is None:
-        assert not reference.candidate_edges()
+        assert not candidates
     else:
         edge, gain = top
-        assert gain == reference.gain(edge)
-        assert gain == max(reference.gain(e) for e in reference.candidate_edges())
+        assert gain == reference.total_gain(edge)
+        assert gain == max(reference.total_gain(e) for e in candidates)

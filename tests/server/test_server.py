@@ -139,6 +139,13 @@ class TestRejection:
         _, client = served
         with pytest.raises(ServerError, match="400"):
             client.solve(ProtectionRequest("No-Such-Method", 3))
+        # a removed engine name is refused like any unknown engine
+        body = {"method": "SGB-Greedy", "budget": 3, "engine": "coverage-set"}
+        with pytest.raises(ServerError, match="400") as refused:
+            client._json("POST", "/solve", body)
+        assert "valid engines: coverage, recount" in str(refused.value)
+        # and the session still answers afterwards
+        assert client.solve(ProtectionRequest("SGB-Greedy", 3)).protectors
 
     def test_non_object_body_is_400(self, served):
         _, client = served

@@ -77,7 +77,7 @@ class TestProtectionRequestRoundTrip:
         request = ProtectionRequest(
             "CT-Greedy:TBD",
             12,
-            engine="coverage-set",
+            engine="recount",
             seed=9,
             budget_division={target: 3 for target in problem.targets},
             lazy=False,

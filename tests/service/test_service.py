@@ -149,7 +149,7 @@ class TestDifferentialAgainstLegacy:
 
     def test_engine_variants_match(self, service, graph, targets):
         problem = TPPProblem(graph, targets, motif="triangle")
-        for engine in ("coverage", "coverage-set", "recount"):
+        for engine in ("coverage", "recount"):
             served = service.solve(ProtectionRequest("SGB-Greedy", 5, engine=engine))
             expected = sgb_greedy(problem, 5, engine=engine)
             assert trace(served) == trace(expected), engine

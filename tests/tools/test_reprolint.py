@@ -954,6 +954,6 @@ class TestDriver:
         )
         assert findings == []
         assert stats.files > 60
-        # the four documented suppressions (benign set iterations) are the
+        # the two documented suppressions (benign set iterations) are the
         # only silenced findings — a new one needs a reason to land here
-        assert stats.suppressed == 4
+        assert stats.suppressed == 2
