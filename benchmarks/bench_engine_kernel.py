@@ -21,9 +21,11 @@ similarities (``native_loops_agree``).
 The second section times whole ``ProtectionService.solve`` calls (SGB,
 CT:TBD, WT:TBD at 5-30% of the initial similarity) on the serving
 benchmark's 12k-node instance (scaled down with ``--nodes`` below the
-default 10k), as the absolute p50 microseconds of a fixed 15 solves per
-cell.  The two kernels' results must be identical in every field but the
-runtime (``whole_solves_identical``).
+default 10k), in absolute microseconds: the minimum over five rounds of
+each round's p50 of 15 solves per cell.  The rounds sweep every cell in
+turn, so a host slowdown of a few seconds lands in one round of a cell,
+not in all of its samples.  The two kernels' results must be identical in
+every field but the runtime (``whole_solves_identical``).
 
 Every native timing carries a ``ceiling_us``: the committed report's
 ceilings are what ``check_bench_regression.py`` gates a fresh run on.
@@ -64,6 +66,7 @@ SOLVE_TARGETS = 100
 SOLVE_BUDGET_FRACTIONS = (0.05, 0.1, 0.15, 0.2, 0.3)
 SOLVE_METHODS = ("SGB-Greedy", "CT-Greedy:TBD", "WT-Greedy:TBD")
 SOLVE_SAMPLES = 15
+SOLVE_ROUNDS = 5
 
 #: Ceilings (µs) on the native timings at the committed configuration:
 #: twice the maximum of six runs of unchanged kernel code on a 2-CPU
@@ -71,11 +74,12 @@ SOLVE_SAMPLES = 15
 #: recorded in CHANGES.md).  The numpy fallback is above every ceiling.
 NATIVE_LOOP_CEILING_US = {"sgb": 7300, "ct": 26000, "wt": 6800}
 
-#: Per method, one ceiling per SOLVE_BUDGET_FRACTIONS entry.
+#: Per method, one ceiling per SOLVE_BUDGET_FRACTIONS entry, derived the
+#: same way from six runs of the five-round harness.
 WHOLE_SOLVE_CEILING_US = {
-    "SGB-Greedy": (1200, 1900, 2400, 2800, 3400),
-    "CT-Greedy:TBD": (2900, 4400, 6200, 8200, 9100),
-    "WT-Greedy:TBD": (2200, 3000, 4000, 13000, 5000),
+    "SGB-Greedy": (730, 1400, 1800, 2100, 2400),
+    "CT-Greedy:TBD": (2500, 3100, 6200, 5700, 6900),
+    "WT-Greedy:TBD": (1900, 2700, 3200, 3800, 3800),
 }
 
 
@@ -209,9 +213,10 @@ def run_whole_solve_section(
     targets, rectangle motif.  ``--nodes`` scales the node and target
     counts by ``nodes / DEFAULT_NODES`` (never up), so a smoke run stays
     small.  Per method and budget (:data:`SOLVE_BUDGET_FRACTIONS` of the initial
-    similarity) the p50 of :data:`SOLVE_SAMPLES` solves is recorded in
-    absolute microseconds — the state copy, the selection and the result
-    construction, as a session serves it.  Returns the section and
+    similarity) the minimum over :data:`SOLVE_ROUNDS` rounds of the p50 of
+    :data:`SOLVE_SAMPLES` solves is recorded in absolute microseconds — the
+    state copy, the selection and the result construction, as a session
+    serves it.  Returns the section and
     whether the kernels' results were identical in every field but
     the runtime.
     """
@@ -234,31 +239,47 @@ def run_whole_solve_section(
             "budget_fractions": list(SOLVE_BUDGET_FRACTIONS),
             "budgets": budgets,
             "samples": SOLVE_SAMPLES,
+            "rounds": SOLVE_ROUNDS,
             "cpu_count": os.cpu_count(),
         },
         "methods": {},
     }
-    identical = True
-    for method in SOLVE_METHODS:
-        rows = []
-        for position, budget in enumerate(budgets):
+    cells = [
+        (method, position, budget)
+        for method in SOLVE_METHODS
+        for position, budget in enumerate(budgets)
+    ]
+    p50s = {
+        (method, position, kernel): []
+        for method, position, _ in cells
+        for kernel in kernels
+    }
+    answers = {}
+    for _ in range(SOLVE_ROUNDS):
+        for method, position, budget in cells:
             request = ProtectionRequest(method, budget)
-            row = {"budget": budget}
-            answers = []
             for kernel, service in sessions.items():
                 samples = []
                 for _ in range(SOLVE_SAMPLES):
                     started = time.perf_counter()
                     answer = service.solve(request)
                     samples.append(time.perf_counter() - started)
-                answers.append(answer.reproducible_fields())
-                row[f"{kernel}_p50_us"] = round(statistics.median(samples) * 1e6, 1)
-            if "native" in kernels:
-                row["ceiling_us"] = WHOLE_SOLVE_CEILING_US[method][position]
-            row["identical"] = all(answer == answers[0] for answer in answers)
-            identical = identical and row["identical"]
-            rows.append(row)
-        section["methods"][method] = rows
+                p50s[method, position, kernel].append(statistics.median(samples))
+                answers[method, position, kernel] = answer.reproducible_fields()
+    identical = True
+    for method, position, budget in cells:
+        row = {"budget": budget}
+        for kernel in kernels:
+            best = min(p50s[method, position, kernel])
+            row[f"{kernel}_p50_us"] = round(best * 1e6, 1)
+        if "native" in kernels:
+            row["ceiling_us"] = WHOLE_SOLVE_CEILING_US[method][position]
+        row["identical"] = all(
+            answers[method, position, kernel] == answers[method, position, kernels[0]]
+            for kernel in kernels
+        )
+        identical = identical and row["identical"]
+        section["methods"].setdefault(method, []).append(row)
     return section, identical
 
 

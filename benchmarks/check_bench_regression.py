@@ -29,10 +29,11 @@ coalesce speedup dropped more than ``--max-regression`` below the committed
 value, or if the ``coalesce_speedup_met`` / ``coalesced_single_solve``
 acceptance flags regressed from the committed report.  For the index-update report the check fails if
 delta application stopped being bit-identical to a from-scratch rebuild (or
-the greedy traces diverged), if the worst small-delta apply-vs-rebuild
-speedup dropped more than ``--max-regression`` below the committed value,
-or if the ``delta_speedup_met`` acceptance flag regressed from the
-committed report.  For the snapshot report the check fails if the
+the greedy traces diverged), if a (motif, delta size) cell's p50
+``delta_us`` exceeds the ``ceiling_us`` the committed report records next
+to it (an absolute ceiling; ``--max-regression`` does not apply), or if
+the fresh run measured another instance than the committed one.  For the
+snapshot report the check fails if the
 restored index stopped being bit-identical to the built one (or the greedy
 traces diverged), if the overall load-vs-build cold-start speedup dropped
 more than ``--max-regression`` below the committed value, or if the
@@ -140,16 +141,18 @@ def compare_index_update(fresh: dict, committed: dict, max_regression: float) ->
             "fresh run: greedy traces diverge between delta-updated and "
             "rebuilt sessions"
         )
-    committed_speedup = committed.get("min_small_delta_speedup", 0.0)
-    fresh_speedup = fresh.get("min_small_delta_speedup", 0.0)
-    floor = committed_speedup * (1.0 - max_regression)
-    if fresh_speedup < floor:
+    if _instance(fresh) != _instance(committed):
         failures.append(
-            f"min_small_delta_speedup {fresh_speedup:.2f}x fell more than "
-            f"{max_regression:.0%} below the committed {committed_speedup:.2f}x "
-            f"(floor {floor:.2f}x)"
+            "the fresh run measured another instance than the committed "
+            "report, so its ceilings do not apply"
         )
-    failures.extend(_check_flags(fresh, committed, ("delta_speedup_met",)))
+    failures.extend(
+        _ceiling_failures(
+            _delta_cells(fresh.get("motifs", {})),
+            _delta_cells(committed.get("motifs", {})),
+            "delta",
+        )
+    )
     return failures
 
 
@@ -244,10 +247,18 @@ def compare(fresh: dict, committed: dict, max_regression: float) -> list:
                 f"{section}: the fresh run measured another instance than the "
                 "committed report, so its ceilings do not apply"
             )
-    measured = _native_cells(fresh)
-    ceilings = _native_cells(committed)
+    failures.extend(
+        _ceiling_failures(_native_cells(fresh), _native_cells(committed), "native")
+    )
+    return failures
+
+
+def _ceiling_failures(measured: dict, ceilings: dict, what: str) -> list:
+    """Compare ``{cell: (µs, ceiling µs)}`` maps: every committed cell must
+    carry a ceiling and be measured at or under it in the fresh run."""
+    failures = []
     if not ceilings:
-        failures.append("the committed report records no native timing to gate")
+        failures.append(f"the committed report records no {what} timing to gate")
     for cell, (_, ceiling) in ceilings.items():
         value = measured.get(cell, (None, None))[0]
         if ceiling is None:
@@ -256,14 +267,14 @@ def compare(fresh: dict, committed: dict, max_regression: float) -> list:
             failures.append(f"{cell}: missing from the fresh report")
         elif value > ceiling:
             failures.append(
-                f"{cell}: native {value:.1f} us exceeds the ceiling "
+                f"{cell}: {what} {value:.1f} us exceeds the ceiling "
                 f"{ceiling:.1f} us"
             )
     return failures
 
 
-#: Engine-kernel config keys that describe the harness or the host, not
-#: the measured instance.
+#: Config keys that describe the harness or the host, not the measured
+#: instance.
 _HARNESS_KEYS = ("repeats", "min_seconds", "cpu_count")
 
 
@@ -288,6 +299,16 @@ def _native_cells(report: dict) -> dict:
     return cells
 
 
+def _delta_cells(motifs: dict) -> dict:
+    """Map each (motif, delta size) cell of an index-update report to
+    ``(p50 delta µs, ceiling µs)``."""
+    return {
+        f"{motif} x{size} delta": (row.get("delta_us"), row.get("ceiling_us"))
+        for motif, rows in motifs.items()
+        for size, row in rows.items()
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("fresh", help="freshly emitted BENCH_engine_kernel.json")
@@ -297,7 +318,8 @@ def main(argv=None) -> int:
         type=float,
         default=0.30,
         help="tolerated fractional speedup drop for the ratio-gated kinds "
-        "(default 0.30); the engine-kernel ceilings are absolute",
+        "(default 0.30); the engine-kernel and index-update ceilings are "
+        "absolute",
     )
     args = parser.parse_args(argv)
 
@@ -321,12 +343,15 @@ def main(argv=None) -> int:
             f"{fresh.get('greedy_traces_agree')}"
         )
     elif committed.get("kind") == "index_update":
+        measured = _delta_cells(fresh.get("motifs", {}))
+        for cell, (_, ceiling) in _delta_cells(committed.get("motifs", {})).items():
+            print(
+                f"{cell:>20}: fresh {measured.get(cell, (None,))[0]} us, "
+                f"ceiling {ceiling} us"
+            )
         print(
-            f"min_small_delta_speedup: committed "
-            f"{committed.get('min_small_delta_speedup')}x, fresh "
-            f"{fresh.get('min_small_delta_speedup')}x; bit-identical deltas: "
-            f"{fresh.get('deltas_identical')}; greedy traces agree: "
-            f"{fresh.get('greedy_traces_agree')}"
+            f"bit-identical deltas: {fresh.get('deltas_identical')}; greedy "
+            f"traces agree: {fresh.get('greedy_traces_agree')}"
         )
     elif committed.get("kind") == "service_throughput":
         print(

@@ -25,6 +25,7 @@ from repro.motifs.similarity import total_similarity
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     import repro.motifs.updates
+    import repro.persistence
 
 __all__ = ["TPPProblem", "ProtectionResult"]
 
@@ -228,7 +229,9 @@ class TPPProblem:
 
     @classmethod
     def from_snapshot(
-        cls, path: Union[str, "Path"], allow_pickle: bool = True
+        cls,
+        path: Union[str, "Path", "repro.persistence.IndexSnapshot"],
+        allow_pickle: bool = True,
     ) -> "TPPProblem":
         """Reconstruct a problem — index included — from a snapshot file.
 
@@ -243,7 +246,10 @@ class TPPProblem:
         ----------
         path:
             A file written by :meth:`save_index` (or
-            :func:`repro.persistence.save_snapshot`).
+            :func:`repro.persistence.save_snapshot`), or the
+            :class:`~repro.persistence.IndexSnapshot` that
+            :func:`~repro.persistence.load_snapshot` already returned for
+            one.
         allow_pickle:
             Forwarded to :func:`repro.persistence.load_snapshot`; refuse
             snapshots with pickled sections (custom motifs, exotic node
@@ -260,9 +266,13 @@ class TPPProblem:
             If the file is unreadable, truncated, corrupted or from an
             incompatible format version / platform.
         """
-        from repro.persistence.snapshot import load_snapshot
+        from repro.persistence.snapshot import IndexSnapshot, load_snapshot
 
-        snapshot = load_snapshot(path, allow_pickle=allow_pickle)
+        snapshot = (
+            path
+            if isinstance(path, IndexSnapshot)
+            else load_snapshot(path, allow_pickle=allow_pickle)
+        )
         # the skipped __init__ validation (targets are edges, C >= s(∅, T))
         # held when the snapshot was saved and is preserved verbatim by the
         # hash-checked file

@@ -55,8 +55,36 @@ ASSEMBLY_MODES = ("numpy", "python")
 def _as_long_array(values: np.ndarray) -> array:
     """Copy a C-long ndarray into an ``array("l")`` (one buffer memcpy)."""
     out = array("l")
-    out.frombytes(np.ascontiguousarray(values, dtype=NP_LONG).tobytes())
+    out.frombytes(memoryview(np.ascontiguousarray(values, dtype=NP_LONG)).cast("B"))
     return out
+
+
+def _splice(
+    old: np.ndarray, drops: Sequence[int], at: Sequence[int], rows: np.ndarray
+) -> np.ndarray:
+    """Return ``old`` without its rows at ``drops``, with ``rows[i]``
+    inserted before old row ``at[i]``.
+
+    Both position lists index ``old`` and are sorted ascending (equal
+    ``at`` entries keep the order of ``rows``); an insertion at a dropped
+    position lands where that row was.  The untouched spans are copied as
+    slices, so the cost is one concatenation.
+    """
+    pieces = []
+    cursor = 0
+    i = j = 0
+    while i < len(at) or j < len(drops):
+        if j == len(drops) or (i < len(at) and at[i] <= drops[j]):
+            pieces.append(old[cursor : at[i]])
+            pieces.append(rows[i : i + 1])
+            cursor = at[i]
+            i += 1
+        else:
+            pieces.append(old[cursor : drops[j]])
+            cursor = drops[j] + 1
+            j += 1
+    pieces.append(old[cursor:])
+    return np.concatenate(pieces)
 
 
 class IndexedGraph:
@@ -174,11 +202,15 @@ class IndexedGraph:
 
         The result is byte-identical to ``IndexedGraph(updated_graph)`` —
         same node order, same edge-id order, same CSR rows — but built by
-        merging the existing sorted storage with the (tiny) delta instead
-        of re-sorting the world: node ids stay monotone under insertion of
+        slicing the existing sorted storage around the (tiny) delta instead
+        of re-sorting the world.  Node ids stay monotone under insertion of
         new labels, so every surviving edge and CSR entry keeps its relative
-        order and one ``searchsorted`` merge per array places the new
-        entries.
+        order: a binary search per changed edge into the sorted edge heads
+        and the sorted CSR rows finds where it goes (O(k log E)), and each
+        new array is the untouched slices between those positions
+        concatenated with the new rows.  The only full-length passes are
+        memcpy-like: the slice copies, one cumsum of ``±1`` events for the
+        edge-id map and one gather remapping the incident edge ids.
 
         Parameters
         ----------
@@ -199,6 +231,8 @@ class IndexedGraph:
         n = len(self._nodes)
         m = self.number_of_edges()
         pairs = self._endpoint_id_pairs()
+        indptr = np.frombuffer(self._indptr, dtype=NP_LONG)
+        neighbors = np.frombuffer(self._neighbors, dtype=NP_LONG)
 
         # --- node table: merge brand-new endpoint labels in str order ----
         fresh_labels = sorted(
@@ -213,82 +247,78 @@ class IndexedGraph:
                 dtype=NP_LONG,
                 count=n,
             )
+            # relabel the old storage into the new id space (monotone, so
+            # no row moves); a fresh node gets an empty row where it sorts
+            pairs = node_id_map[pairs]
+            neighbors = node_id_map[neighbors]
+            indptr = indptr[
+                np.searchsorted(node_id_map, np.arange(len(new_nodes) + 1))
+            ]
         else:
             new_nodes = self._nodes
             new_node_id = self._node_id  # immutable after construction: share
             node_id_map = None
-        nn = len(new_nodes)
-        width = max(nn, 1)
 
-        # --- edge table: drop deleted rows, merge inserted pairs ---------
-        keep_edge = np.ones(m, dtype=bool)
-        if len(deleted_edge_ids):
-            keep_edge[np.asarray(deleted_edge_ids, dtype=NP_LONG)] = False
-        surviving = pairs[keep_edge]
-        if node_id_map is not None:
-            surviving = node_id_map[surviving]
-        inserted = np.empty((len(inserted_edges), 2), dtype=NP_LONG)
-        for position, (u, v) in enumerate(inserted_edges):
-            inserted[position, 0] = new_node_id[u]
-            inserted[position, 1] = new_node_id[v]
-        # composite (head, tail) keys: pairs are unique, so plain argsort /
-        # searchsorted merges are deterministic with no tie-breaking needed
-        inserted = inserted[np.argsort(inserted[:, 0] * width + inserted[:, 1])]
-        surviving_keys = surviving[:, 0] * width + surviving[:, 1]
-        inserted_keys = inserted[:, 0] * width + inserted[:, 1]
-        new_pos_surviving = (
-            np.arange(len(surviving_keys), dtype=NP_LONG)
-            + np.searchsorted(inserted_keys, surviving_keys)
+        # --- edge table: drop deleted rows, insert the new pairs ---------
+        dropped = np.sort(np.asarray(deleted_edge_ids, dtype=NP_LONG))
+        added = np.array(
+            sorted((new_node_id[u], new_node_id[v]) for u, v in inserted_edges),
+            dtype=NP_LONG,
+        ).reshape(-1, 2)
+        heads = np.ascontiguousarray(pairs[:, 0])
+        first = np.searchsorted(heads, added[:, 0], "left").tolist()
+        last = np.searchsorted(heads, added[:, 0], "right").tolist()
+        edge_at = [
+            lo + int(np.searchsorted(pairs[lo:hi, 1], tail))
+            for lo, hi, tail in zip(first, last, added[:, 1].tolist())
+        ]
+        # an edge's new id is its old id, minus the deletions before it,
+        # plus the insertions placed before it: one cumsum of +-1 events
+        events = np.zeros(m + 1, dtype=NP_LONG)
+        np.add.at(events, dropped + 1, -1)
+        np.add.at(events, edge_at, 1)
+        edge_id_map = np.arange(m, dtype=NP_LONG) + np.cumsum(events[:m])
+        edge_id_map[dropped] = -1
+        added_ids = (
+            np.asarray(edge_at, dtype=NP_LONG)
+            - np.searchsorted(dropped, edge_at)
+            + np.arange(len(added), dtype=NP_LONG)
         )
-        new_pos_inserted = (
-            np.arange(len(inserted_keys), dtype=NP_LONG)
-            + np.searchsorted(surviving_keys, inserted_keys)
-        )
-        edge_id_map = np.full(m, -1, dtype=NP_LONG)
-        edge_id_map[keep_edge] = new_pos_surviving
-        new_pairs = np.empty((len(surviving) + len(inserted), 2), dtype=NP_LONG)
-        new_pairs[new_pos_surviving] = surviving
-        new_pairs[new_pos_inserted] = inserted
+        new_pairs = _splice(pairs, dropped.tolist(), edge_at, added)
 
-        # --- CSR rows: one more sorted merge over the directed entries ---
-        old_indptr = np.frombuffer(self._indptr, dtype=NP_LONG)
-        old_neighbors = np.frombuffer(self._neighbors, dtype=NP_LONG)
-        old_incident = np.frombuffer(self._incident_edges, dtype=NP_LONG)
-        src = np.repeat(np.arange(n, dtype=NP_LONG), np.diff(old_indptr))
-        keep_entry = keep_edge[old_incident]
-        kept_src = src[keep_entry]
-        kept_dst = old_neighbors[keep_entry]
-        kept_eid = edge_id_map[old_incident[keep_entry]]
-        if node_id_map is not None:
-            kept_src = node_id_map[kept_src]
-            kept_dst = node_id_map[kept_dst]
-        new_src = np.concatenate((inserted[:, 0], inserted[:, 1]))
-        new_dst = np.concatenate((inserted[:, 1], inserted[:, 0]))
-        new_eid = np.concatenate((new_pos_inserted, new_pos_inserted))
-        entry_order = np.lexsort((new_dst, new_src))
-        new_src = new_src[entry_order]
-        new_dst = new_dst[entry_order]
-        new_eid = new_eid[entry_order]
-        kept_keys = kept_src * width + kept_dst
-        new_keys = new_src * width + new_dst
-        pos_kept = np.arange(len(kept_keys), dtype=NP_LONG) + np.searchsorted(
-            new_keys, kept_keys
+        # --- CSR rows: two directed entries per changed edge -------------
+        def row_position(src: int, dst: int) -> int:
+            lo, hi = int(indptr[src]), int(indptr[src + 1])
+            return lo + int(np.searchsorted(neighbors[lo:hi], dst))
+
+        entry_drops = sorted(
+            row_position(src, dst)
+            for head, tail in pairs[dropped].tolist()
+            for src, dst in ((head, tail), (tail, head))
         )
-        pos_new = np.arange(len(new_keys), dtype=NP_LONG) + np.searchsorted(
-            kept_keys, new_keys
+        entries = sorted(
+            (row_position(src, dst), src, dst, edge)
+            for (head, tail), edge in zip(added.tolist(), added_ids.tolist())
+            for src, dst in ((head, tail), (tail, head))
         )
-        total = len(kept_keys) + len(new_keys)
-        neighbors = np.empty(total, dtype=NP_LONG)
-        incident = np.empty(total, dtype=NP_LONG)
-        rows = np.empty(total, dtype=NP_LONG)
-        neighbors[pos_kept] = kept_dst
-        neighbors[pos_new] = new_dst
-        incident[pos_kept] = kept_eid
-        incident[pos_new] = new_eid
-        rows[pos_kept] = kept_src
-        rows[pos_new] = new_src
-        indptr = np.zeros(nn + 1, dtype=NP_LONG)
-        np.cumsum(np.bincount(rows, minlength=nn), out=indptr[1:])
+        entry_at = [entry[0] for entry in entries]
+        new_neighbors = _splice(
+            neighbors,
+            entry_drops,
+            entry_at,
+            np.array([entry[2] for entry in entries], dtype=NP_LONG),
+        )
+        new_incident = _splice(
+            edge_id_map[np.frombuffer(self._incident_edges, dtype=NP_LONG)],
+            entry_drops,
+            entry_at,
+            np.array([entry[3] for entry in entries], dtype=NP_LONG),
+        )
+        degree_change = np.zeros(len(new_nodes), dtype=NP_LONG)
+        np.add.at(degree_change, pairs[dropped].reshape(-1), -1)
+        np.add.at(degree_change, added.reshape(-1), 1)
+        new_indptr = indptr.copy()
+        new_indptr[1:] += np.cumsum(degree_change)
 
         spliced = IndexedGraph.__new__(IndexedGraph)
         spliced._nodes = new_nodes
@@ -297,9 +327,9 @@ class IndexedGraph:
         spliced._edge_id = None
         spliced._lazy_edge_ids = _as_long_array(new_pairs.reshape(-1))
         spliced._pair_ids = spliced._lazy_edge_ids
-        spliced._indptr = _as_long_array(indptr)
-        spliced._neighbors = _as_long_array(neighbors)
-        spliced._incident_edges = _as_long_array(incident)
+        spliced._indptr = _as_long_array(new_indptr)
+        spliced._neighbors = _as_long_array(new_neighbors)
+        spliced._incident_edges = _as_long_array(new_incident)
         return spliced, edge_id_map, node_id_map
 
     def _materialise_edges(self) -> None:

@@ -132,12 +132,18 @@ class DeltaSnapshot:
     result_content_hash: str
     header: Dict[str, object] = field(repr=False)
 
-    def matches_parent(self, index: TargetSubgraphIndex) -> bool:
-        """Return whether ``index`` is the state this delta applies to."""
-        return index_content_hash(index) == self.parent_content_hash
+    def matches_parent(self, parent: Union[TargetSubgraphIndex, str]) -> bool:
+        """Return whether ``parent`` — an index, or the content hash its
+        holder already keeps — is the state this delta applies to."""
+        return _state_hash(parent) == self.parent_content_hash
 
-    def verify_parent(self, index: TargetSubgraphIndex) -> None:
-        """Raise unless ``index`` is the state this delta applies to.
+    def verify_parent(self, parent: Union[TargetSubgraphIndex, str]) -> None:
+        """Raise unless ``parent`` is the state this delta applies to.
+
+        ``parent`` is the live index or its content hash: a session that
+        keeps its hash (:meth:`ProtectionService.content_hash
+        <repro.service.ProtectionService.content_hash>`) passes that, so
+        the check costs no hashing.
 
         Raises
         ------
@@ -145,35 +151,44 @@ class DeltaSnapshot:
             The delta was recorded against a different graph state; applying
             it here would corrupt the session, so it is refused up front.
         """
-        if not self.matches_parent(index):
+        if not self.matches_parent(parent):
             raise SnapshotMismatchError(
                 "delta snapshot parent content hash does not match the live "
                 "index: this delta was recorded against a different graph "
                 "state and cannot be applied here"
             )
 
-    def verify_result(self, index: TargetSubgraphIndex) -> None:
-        """Raise unless ``index`` is the state applying this delta produces.
+    def verify_result(self, index: TargetSubgraphIndex) -> str:
+        """Return ``index``'s content hash, or raise unless it is the state
+        applying this delta produces.
+
+        The hash is always computed from ``index`` — never taken from the
+        file — so a caller may keep the returned value as the new state's
+        content hash.
 
         Raises
         ------
         SnapshotMismatchError
             The replay landed on a different state than the file recorded.
         """
-        if index_content_hash(index) != self.result_content_hash:
+        content_hash = index_content_hash(index)
+        if content_hash != self.result_content_hash:
             raise SnapshotMismatchError(
                 "applying the delta snapshot produced a different state than "
                 "its recorded result content hash — refusing the update"
             )
+        return content_hash
 
-    def delta_for(self, index: TargetSubgraphIndex) -> EdgeDelta:
-        """Return the delta after verifying ``index`` is its parent state.
+    def delta_for(self, parent: Union[TargetSubgraphIndex, str]) -> EdgeDelta:
+        """Return the delta after verifying ``parent`` (an index or its
+        content hash) is its parent state.
 
         This is the hook :meth:`ProtectionService.apply_delta
-        <repro.service.ProtectionService.apply_delta>` calls when handed a
-        delta snapshot instead of a bare delta.
+        <repro.service.ProtectionService.apply_delta>` calls, with the
+        session's kept hash, when handed a delta snapshot instead of a bare
+        delta.
         """
-        self.verify_parent(index)
+        self.verify_parent(parent)
         return self.delta
 
 

@@ -208,8 +208,8 @@ def _content_digest(
     motif_name: str,
     node_codec: str,
     nodes_blob: bytes,
-    edge_blob: bytes,
-    target_blob: bytes,
+    edge_blob: Union[bytes, array, np.ndarray],
+    target_blob: Union[bytes, array, np.ndarray],
 ) -> str:
     digest = hashlib.sha256()
     for part in (
@@ -279,13 +279,30 @@ def index_content_hash(index: TargetSubgraphIndex) -> str:
     states.
     """
     indexed = index.indexed_graph
-    node_id = {node: position for position, node in enumerate(indexed.nodes)}
-    codec, nodes_blob = _encode_nodes(indexed.nodes)
-    edge_blob = np.ascontiguousarray(
-        indexed._endpoint_id_pairs(), dtype=NP_LONG
-    ).tobytes()
-    target_blob = _endpoint_ids(index.targets, node_id, "target").tobytes()
-    return _content_digest(index.motif.name, codec, nodes_blob, edge_blob, target_blob)
+    codec, nodes_blob = _encoded_nodes(indexed.nodes)
+    # both id arrays are C-contiguous C longs: hashed in place, no copy
+    edge_ids = indexed._endpoint_id_pairs()
+    target_ids = _endpoint_ids(index.targets, indexed._node_id, "target")
+    return _content_digest(index.motif.name, codec, nodes_blob, edge_ids, target_ids)
+
+
+#: The node table :func:`index_content_hash` encoded last, as
+#: ``(nodes, codec, blob)``.  A delta that adds no label and a subset
+#: restriction share their parent's node tuple, so the hashes of one
+#: session's successive states encode the (unchanged) labels once.  The
+#: tuple is immutable and held here, so identity implies equal content.
+_last_node_encoding: Optional[Tuple[Tuple[Node, ...], str, bytes]] = None
+
+
+def _encoded_nodes(nodes: Tuple[Node, ...]) -> Tuple[str, bytes]:
+    """:func:`_encode_nodes`, memoised on the identity of the node tuple."""
+    global _last_node_encoding
+    memo = _last_node_encoding
+    if memo is not None and memo[0] is nodes:
+        return memo[1], memo[2]
+    codec, blob = _encode_nodes(nodes)
+    _last_node_encoding = (nodes, codec, blob)
+    return codec, blob
 
 
 def _header_digest(header: Dict[str, object]) -> str:

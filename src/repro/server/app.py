@@ -59,7 +59,7 @@ from repro.exceptions import (
     ServerProtocolError,
 )
 from repro.graphs.graph import edge_sort_key
-from repro.persistence import index_content_hash, load_delta_snapshot
+from repro.persistence import load_delta_snapshot
 from repro.server.artifacts import ArtifactStore
 from repro.server.protocol import (
     HttpRequest,
@@ -117,8 +117,6 @@ class ProtectionServer:
         self.store = store
         self._lock = threading.Lock()
         self._service = service  # reprolint: guarded-by(_lock)
-        self._hashed_index: Optional[object] = None  # reprolint: guarded-by(_lock)
-        self._content_hash = ""  # reprolint: guarded-by(_lock)
         self._draining = False  # reprolint: guarded-by(_lock)
         self._requests_total = 0  # reprolint: guarded-by(_lock)
         self._solves_executed = 0  # reprolint: guarded-by(_lock)
@@ -150,18 +148,9 @@ class ProtectionServer:
             return self._service
 
     def content_hash(self) -> str:
-        """The live session's content hash (cached per index identity)."""
-        with self._lock:
-            index = self._service.index
-            if self._hashed_index is index:
-                return self._content_hash
-        # hash outside the lock (touches the index arrays), then publish
-        fresh = index_content_hash(index)
-        with self._lock:
-            if self._service.index is index:
-                self._hashed_index = index
-                self._content_hash = fresh
-        return fresh
+        """The live session's content hash, as the session keeps it
+        (:meth:`ProtectionService.content_hash`)."""
+        return self.current_service().content_hash()
 
     def drain(self) -> None:
         """Stop admitting new solves; queued work finishes, clients get 503."""
@@ -199,13 +188,8 @@ class ProtectionServer:
             # from_snapshot reports the unreadable path as a typed error
             head = b""
         if head == b"REPROTPPDLTA":
-            snapshot = load_delta_snapshot(path)
-            # apply_delta verified the updated index against the recorded
-            # result hash before the swap: that hash is the new live one
-            outcome = self.current_service().apply_delta(snapshot)
+            self.current_service().apply_delta(load_delta_snapshot(path))
             with self._lock:
-                self._hashed_index = outcome.index
-                self._content_hash = snapshot.result_content_hash
                 self._reloads += 1
             return self._reloaded("delta-applied")
         return self._install(ProtectionService.from_snapshot(path))
@@ -271,8 +255,6 @@ class ProtectionServer:
     def _install(self, fresh: ProtectionService) -> Dict[str, object]:
         with self._lock:
             self._service = fresh
-            self._hashed_index = None
-            self._content_hash = ""
             self._reloads += 1
         return self._reloaded("swapped")
 

@@ -42,7 +42,6 @@ from repro.exceptions import (
     SnapshotFormatError,
     SnapshotMismatchError,
 )
-from repro.persistence import index_content_hash
 from repro.service import ProtectionRequest, ProtectionService
 
 __all__ = ["ServingClient"]
@@ -254,7 +253,7 @@ class ServingClient:
         except SnapshotFormatError:
             target.unlink(missing_ok=True)
             raise
-        restored_hash = index_content_hash(service.index)
+        restored_hash = service.content_hash()
         if restored_hash != content_hash:
             target.unlink(missing_ok=True)
             raise SnapshotMismatchError(

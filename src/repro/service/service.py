@@ -35,7 +35,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from repro.core.engines import CoverageEngine
 from repro.core.model import ProtectionResult, TPPProblem
@@ -44,12 +44,14 @@ from repro.exceptions import ExperimentError
 from repro.graphs.graph import Edge, Graph, canonical_edge, edge_sort_key
 from repro.motifs.base import MotifPattern
 from repro.motifs.enumeration import CoverageState, TargetSubgraphIndex
+from repro.persistence.snapshot import index_content_hash, load_snapshot
 from repro.service import builtin  # noqa: F401  (registers the built-in methods)
 from repro.service.registry import get_method
 from repro.service.requests import ProtectionRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.motifs.updates import DeltaOutcome, EdgeDelta
+    from repro.persistence.delta import DeltaSnapshot
 
 __all__ = ["ProtectionService"]
 
@@ -149,6 +151,9 @@ class ProtectionService:
         #: Where the session's index came from: "built" (enumerated in this
         #: process) or "snapshot" (restored by :meth:`from_snapshot`).
         self._index_source = "built"  # reprolint: guarded-by(_lock)
+        #: The content hash of ``_index`` (see :meth:`content_hash`), or
+        #: None until first asked for; swapped together with the index.
+        self._content_hash: Optional[str] = None  # reprolint: guarded-by(_lock)
 
     @classmethod
     def from_snapshot(
@@ -192,9 +197,19 @@ class ProtectionService:
             If the file is unreadable, truncated, corrupted or from an
             incompatible format version / platform.
         """
-        problem = TPPProblem.from_snapshot(path, allow_pickle=allow_pickle)
-        service = cls(problem, max_cached_subsets=max_cached_subsets, kernel=kernel)
+        snapshot = load_snapshot(path, allow_pickle=allow_pickle)
+        service = cls(
+            TPPProblem.from_snapshot(snapshot),
+            max_cached_subsets=max_cached_subsets,
+            kernel=kernel,
+        )
         service._index_source = "snapshot"
+        # load_snapshot checked the header hash against the stored node,
+        # edge and target sections.  A JSON node table re-encodes to the
+        # stored bytes, so that hash is the restored index's; a pickled one
+        # need not re-pickle identically, so it is hashed when first needed
+        if snapshot.header.get("node_codec", "json") == "json":
+            service._content_hash = snapshot.content_hash
         return service
 
     @classmethod
@@ -301,6 +316,28 @@ class ProtectionService:
         from a freshly enumerated one.
         """
         return self._index_source
+
+    def content_hash(self) -> str:
+        """The content hash of the index this session serves.
+
+        Equals :func:`~repro.persistence.index_content_hash` of
+        :attr:`index` and is kept with the session state: seeded from the
+        header of the snapshot a session was restored from, replaced by the
+        verified result hash after a delta snapshot applies, and otherwise
+        computed on first use and cached until the index changes.  Delta
+        snapshots check their parent against this value.
+        """
+        with self._lock:
+            index = self._index
+            content_hash = self._content_hash
+        if content_hash is None:
+            # hash outside the lock (it reads the index arrays), then publish
+            # unless a delta swapped the index meanwhile
+            content_hash = index_content_hash(index)
+            with self._lock:
+                if self._index is index:
+                    self._content_hash = content_hash
+        return content_hash
 
     def pristine_similarity(self) -> int:
         """Return ``s(∅, T)`` as seen by the untouched prototype state."""
@@ -462,16 +499,20 @@ class ProtectionService:
     # live updates
     # ------------------------------------------------------------------
     def apply_delta(
-        self, delta: "EdgeDelta", constant: Optional[int] = None
+        self,
+        delta: Union["EdgeDelta", "DeltaSnapshot"],
+        constant: Optional[int] = None,
     ) -> "DeltaOutcome":
         """Apply a graph update to the live session without a rebuild.
 
         ``delta`` is an :class:`~repro.motifs.updates.EdgeDelta` (or a
         :class:`~repro.persistence.DeltaSnapshot`, whose parent content hash
-        is verified against the live index first, and whose recorded
-        result content hash against the updated index before the swap — a
-        mismatch raises :class:`~repro.exceptions.SnapshotMismatchError`
-        and leaves the session untouched).  The index is maintained
+        is checked against the session's kept :meth:`content_hash` first,
+        and whose recorded result content hash against the hash of the
+        updated index before the swap — a mismatch raises
+        :class:`~repro.exceptions.SnapshotMismatchError` and leaves the
+        session untouched).  That result hash is the one content hash a
+        delta snapshot costs; it becomes the session's kept hash.  The index is maintained
         incrementally — bit-identical to a from-scratch rebuild on the
         updated graph (see :mod:`repro.motifs.updates`) — and swapped in
         copy-on-write:
@@ -492,22 +533,22 @@ class ProtectionService:
         from repro.motifs.updates import EdgeDelta
 
         with self._delta_lock:
-            verify_result: Optional[Callable[[TargetSubgraphIndex], None]] = None
+            snapshot: Optional["DeltaSnapshot"] = None
             if not isinstance(delta, EdgeDelta):
-                delta_for = getattr(delta, "delta_for", None)
-                if delta_for is None:
+                if getattr(delta, "delta_for", None) is None:
                     raise ExperimentError(
                         "apply_delta expects an EdgeDelta or a DeltaSnapshot, "
                         f"got {type(delta).__name__}"
                     )
-                verify_result = delta.verify_result
-                delta = delta_for(self._index)
+                snapshot = delta
+                delta = snapshot.delta_for(self.content_hash())
             stopwatch = Stopwatch()
             new_problem, outcome = self._problem.apply_delta(
                 delta, constant=constant
             )
-            if verify_result is not None:
-                verify_result(outcome.index)
+            content_hash = (
+                None if snapshot is None else snapshot.verify_result(outcome.index)
+            )
             build_seconds = stopwatch.elapsed()
             new_prototype = _new_prototype(
                 new_problem, outcome.index, self._kernel_request
@@ -519,6 +560,7 @@ class ProtectionService:
                 self._prototype = new_prototype
                 self._build_seconds = build_seconds
                 self._index_source = "delta"
+                self._content_hash = content_hash
                 self._deltas_applied += 1
                 if changed:
                     stale = [

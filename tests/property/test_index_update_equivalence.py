@@ -355,3 +355,88 @@ def test_counter_matrix_rebuilt_from_spliced_arrays():
     lhs, rhs = outcome.index.new_state(), rebuilt.new_state()
     assert lhs.total_similarity() == rhs.total_similarity()
     assert lhs.candidate_edge_list() == rhs.candidate_edge_list()
+
+
+# ----------------------------------------------------------------------
+# splice edge cases: the ends of the edge table and of the CSR
+# ----------------------------------------------------------------------
+def assert_delta_matches_rebuild(phase1, targets, motif, ops):
+    index = TargetSubgraphIndex(phase1, targets, motif)
+    outcome = index.apply_delta(EdgeDelta(tuple(ops)))
+    rebuilt = TargetSubgraphIndex(updated_phase1(phase1, ops), targets, motif)
+    assert fingerprint(outcome.index) == fingerprint(rebuilt), (motif, ops)
+    assert graph_fingerprint(outcome.index.indexed_graph) == graph_fingerprint(
+        rebuilt.indexed_graph
+    ), (motif, ops)
+
+
+def splice_instances():
+    """Random instances of every built-in motif, a few seeds each."""
+    for seed in (2, 5, 8, 17):
+        graph, targets = random_instance(seed)
+        if graph is None:
+            continue
+        for motif in MOTIFS:
+            yield graph.without_edges(targets), targets, motif
+
+
+def absent_edges(phase1, targets, u):
+    """Canonical non-edges at ``u`` that are not targets, in node order."""
+    blocked = {canonical_edge(*target) for target in targets}
+    return [
+        canonical_edge(u, v)
+        for v in sorted(phase1.nodes())
+        if v != u
+        and not phase1.has_edge(u, v)
+        and canonical_edge(u, v) not in blocked
+    ]
+
+
+def test_deleting_the_first_and_last_edge_ids_matches_rebuild():
+    for phase1, targets, motif in splice_instances():
+        edges = TargetSubgraphIndex(phase1, targets, motif).indexed_graph.edges
+        ops = [("delete", edges[0]), ("delete", edges[-1])]
+        assert_delta_matches_rebuild(phase1, targets, motif, ops)
+
+
+def test_emptying_a_csr_row_matches_rebuild():
+    for phase1, targets, motif in splice_instances():
+        endpoints = {x for target in targets for x in target}
+        # the busiest target endpoint loses every edge: its row empties
+        node = max(
+            sorted(phase1.nodes()), key=lambda x: (x in endpoints, phase1.degree(x))
+        )
+        ops = [
+            ("delete", canonical_edge(node, v)) for v in sorted(phase1.neighbors(node))
+        ]
+        assert_delta_matches_rebuild(phase1, targets, motif, ops)
+
+
+def test_insertions_into_the_first_and_last_rows_match_rebuild():
+    for phase1, targets, motif in splice_instances():
+        order = TargetSubgraphIndex(phase1, targets, motif).indexed_graph.nodes
+        first, last = order[0], order[-1]
+        ops = []
+        for node in (first, last):
+            # the lowest and the highest missing neighbor of the row
+            candidates = absent_edges(phase1, targets, node)
+            for edge in candidates[:1] + candidates[-1:]:
+                if ("insert", edge) not in ops:
+                    ops.append(("insert", edge))
+        assert ops
+        assert_delta_matches_rebuild(phase1, targets, motif, ops)
+
+
+def test_new_labels_sorting_before_and_after_every_label_match_rebuild():
+    for phase1, targets, motif in splice_instances():
+        nodes = sorted(phase1.nodes())
+        # int labels 0..15: "-1" sorts first and "99" last in str order
+        assert str(-1) < min(map(str, nodes)) and str(99) > max(map(str, nodes))
+        victim = canonical_edge(*sorted(phase1.edges())[0])
+        ops = [
+            ("insert", canonical_edge(-1, nodes[0])),
+            ("insert", canonical_edge(99, nodes[-1])),
+            ("insert", canonical_edge(-1, 99)),
+            ("delete", victim),
+        ]
+        assert_delta_matches_rebuild(phase1, targets, motif, ops)

@@ -103,7 +103,10 @@ def test_kernel_top_gain_matches_full_scan(seed, motif_index):
     if problem is None:
         return
     state = problem.build_index().new_state()
-    while True:
+    # every step deletes a positive-gain edge, and only the initial
+    # candidates ever have one: a stale gain must fail here, not spin
+    bound = len(state.candidate_edges()) + 1
+    for _ in range(bound):
         top = state.top_gain_edge()
         best = argmax_edge(state.candidate_edges(), state.gain)
         if top is None:
@@ -112,6 +115,11 @@ def test_kernel_top_gain_matches_full_scan(seed, motif_index):
         assert best is not None
         assert top == best
         state.delete_edge(top[0])
+    else:
+        raise AssertionError(
+            f"top_gain_edge still reports a positive gain after {bound} "
+            "deletions: a kernel gain counter went stale"
+        )
 
 
 @given(st.integers(min_value=0, max_value=10_000), MOTIF_INDEX)
@@ -180,9 +188,12 @@ def test_best_scored_pair_heap_matches_full_sweep(seed, motif_index):
     kernel = make_engine(problem, "coverage")
     reference = make_engine(problem, "recount")
     targets = problem.targets
+    # every commit deletes a positive-gain edge, and only the initial
+    # candidates ever have one: a stale gain must fail here, not spin
+    bound = len(problem.build_index().new_state().candidate_edges()) + 1
     # alternate between the CT shape (all targets) and the WT shape (each
     # target alone) so the heaps are exercised under both access patterns
-    while True:
+    for _ in range(bound):
         best = kernel.best_scored_pair(targets, constant)
         assert best == reference.best_scored_pair(targets, constant)
         for target in targets:
@@ -192,6 +203,11 @@ def test_best_scored_pair_heap_matches_full_sweep(seed, motif_index):
             break
         _, _, edge = best
         assert kernel.commit(edge) == reference.commit(edge)
+    else:
+        raise AssertionError(
+            f"best_scored_pair still reports a pair after {bound} commits: "
+            "a kernel gain counter went stale"
+        )
 
 
 @given(st.integers(min_value=0, max_value=10_000), MOTIF_INDEX)

@@ -270,6 +270,8 @@ class TestDeltaReload:
     def test_delta_reload_takes_the_verified_hash_without_rehashing(
         self, served, problem_a, tmp_path, monkeypatch
     ):
+        """A ``.tppdelta`` reload hashes once: the result, from the updated
+        index.  The parent check reads the session's kept hash."""
         server, client = served
         delta = make_delta(problem_a)
         _, outcome = problem_a.apply_delta(delta)
@@ -277,15 +279,65 @@ class TestDeltaReload:
             tmp_path / "step.tppdelta", delta, problem_a.build_index(), outcome.index
         )
         result_hash = index_content_hash(outcome.index)
-        server.content_hash()  # the parent's hash is cached
+        server.content_hash()  # the parent's hash is kept by the session
         hashed = []
-        monkeypatch.setattr(
-            "repro.server.app.index_content_hash",
-            lambda index: hashed.append(index) or index_content_hash(index),
-        )
+
+        def counting(index):
+            hashed.append(index)
+            return index_content_hash(index)
+
+        monkeypatch.setattr("repro.persistence.delta.index_content_hash", counting)
+        monkeypatch.setattr("repro.service.service.index_content_hash", counting)
         assert client.reload(delta=delta_file)["content_hash"] == result_hash
         assert client.stats()["content_hash"] == result_hash
-        assert hashed == []
+        assert hashed == [server.current_service().index]
+
+    def test_stale_replay_is_409_and_leaves_the_session_untouched(
+        self, served, problem_a, tmp_path
+    ):
+        server, client = served
+        delta = make_delta(problem_a)
+        _, outcome = problem_a.apply_delta(delta)
+        delta_file = save_delta_snapshot(
+            tmp_path / "step.tppdelta", delta, problem_a.build_index(), outcome.index
+        )
+        client.reload(delta=delta_file)
+        service = server.current_service()
+        index, kept = service.index, service.content_hash()
+        with pytest.raises(ServerError, match="409"):
+            client.reload(delta=delta_file)
+        assert server.current_service() is service
+        assert service.index is index
+        assert service.deltas_applied == 1
+        assert service.content_hash() == kept == index_content_hash(index)
+
+    def test_after_a_snapshot_swap_deltas_follow_the_new_hash(
+        self, served, problem_a, problem_b, hash_b, tmp_path
+    ):
+        server, client = served
+        stale_delta = make_delta(problem_a)
+        _, stale_outcome = problem_a.apply_delta(stale_delta)
+        stale_file = save_delta_snapshot(
+            tmp_path / "stale.tppdelta",
+            stale_delta,
+            problem_a.build_index(),
+            stale_outcome.index,
+        )
+        delta = make_delta(problem_b)
+        _, outcome = problem_b.apply_delta(delta)
+        delta_file = save_delta_snapshot(
+            tmp_path / "next.tppdelta", delta, hash_b, outcome.index
+        )
+        assert client.reload(snapshot=problem_b.save_index(tmp_path / "b.tppsnap"))[
+            "content_hash"
+        ] == hash_b
+        # recorded against the swapped-out state: refused, nothing changes
+        with pytest.raises(ServerError, match="409"):
+            client.reload(delta=stale_file)
+        assert client.stats()["content_hash"] == hash_b
+        reloaded = client.reload(delta=delta_file)
+        assert reloaded["action"] == "delta-applied"
+        assert reloaded["content_hash"] == index_content_hash(outcome.index)
 
 
 class TestDeltaResultVerification:

@@ -27,6 +27,12 @@ from repro.graphs.generators import powerlaw_cluster_graph
 from repro.graphs.graph import canonical_edge, edge_sort_key
 from repro.motifs.enumeration import TargetSubgraphIndex
 from repro.motifs.updates import EdgeDelta
+from repro.persistence import (
+    index_content_hash,
+    load_delta_snapshot,
+    save_delta_snapshot,
+    snapshot_content_hash,
+)
 from repro.service import ProtectionRequest, ProtectionService
 
 
@@ -195,6 +201,83 @@ class TestApplyDelta:
         # an empty delta on the current session state reproduces its graph
         fresh = ProtectionService(updated_graph_problem(service, EdgeDelta(())))
         assert trace(service.solve(request)) == trace(fresh.solve(request))
+
+
+class TestContentHash:
+    """The session keeps its content hash; a delta snapshot costs one hash."""
+
+    def test_from_snapshot_seeds_the_hash_from_the_header(
+        self, service, tmp_path, monkeypatch
+    ):
+        path = service.problem.save_index(tmp_path / "s.tppsnap")
+        restored = ProtectionService.from_snapshot(path)
+        hashed = []
+        monkeypatch.setattr(
+            "repro.service.service.index_content_hash",
+            lambda index: hashed.append(index) or index_content_hash(index),
+        )
+        assert restored.content_hash() == index_content_hash(restored.index)
+        assert hashed == []
+
+    def test_built_session_hashes_once_then_keeps_it(self, service, monkeypatch):
+        hashed = []
+        monkeypatch.setattr(
+            "repro.service.service.index_content_hash",
+            lambda index: hashed.append(index) or index_content_hash(index),
+        )
+        assert service.content_hash() == service.content_hash()
+        assert hashed == [service.index]
+        # a plain EdgeDelta swaps the index: the hash follows it
+        service.apply_delta(make_delta(service))
+        assert service.content_hash() == index_content_hash(service.index)
+        assert len(hashed) == 2
+
+    def test_delta_snapshot_applies_with_exactly_one_hash(
+        self, service, tmp_path, monkeypatch
+    ):
+        delta = make_delta(service)
+        parent = service.content_hash()
+        _, outcome = service.problem.apply_delta(delta)
+        path = save_delta_snapshot(
+            tmp_path / "d.tppdelta", delta, parent, outcome.index
+        )
+        snapshot = load_delta_snapshot(path)
+        hashed = []
+
+        def counting(index):
+            hashed.append(index)
+            return index_content_hash(index)
+
+        monkeypatch.setattr("repro.persistence.delta.index_content_hash", counting)
+        monkeypatch.setattr("repro.service.service.index_content_hash", counting)
+        applied = service.apply_delta(snapshot)
+        assert hashed == [applied.index]
+        assert service.content_hash() == snapshot.result_content_hash
+        assert len(hashed) == 1
+
+    def test_new_labels_hash_like_a_fresh_snapshot_of_the_updated_graph(
+        self, service, tmp_path
+    ):
+        """The node-encoding memo is keyed on the node tuple's identity; a
+        delta that adds labels must not reuse the parent's encoding."""
+        phase1 = service.problem.phase1_graph
+        anchor = sorted(phase1.nodes())[0]
+        # labels that sort before and after every existing label in str order
+        delta = EdgeDelta.inserting((anchor, -1), (anchor, 999_999))
+        parent = service.content_hash()  # primes the memo on the old nodes
+        _, outcome = service.problem.apply_delta(delta)
+        path = save_delta_snapshot(
+            tmp_path / "d.tppdelta", delta, parent, outcome.index
+        )
+        service.apply_delta(load_delta_snapshot(path))
+        updated = phase1.copy()
+        updated.add_edges_from(delta.inserted)
+        updated.add_edges_from(service.targets)
+        expected = snapshot_content_hash(updated, service.targets, "triangle")
+        nodes = service.index.indexed_graph.nodes
+        assert (nodes[0], nodes[-1]) == (-1, 999_999)
+        assert service.content_hash() == expected
+        assert index_content_hash(service.index) == expected
 
 
 class TestSubsetDerivationRace:

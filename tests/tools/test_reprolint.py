@@ -528,6 +528,14 @@ class TestBenchSchemaRule:
             "index_update",
             "engine_kernel",
         } <= registry.kinds
+        # the index-update gate reads absolute per-cell timings and the two
+        # identity flags; the apply-vs-rebuild speedup gate is gone
+        assert {"motifs", "deltas_identical", "greedy_traces_agree"} <= (
+            registry.top_level["index_update"]
+        )
+        assert not {"min_small_delta_speedup", "delta_speedup_met"} & (
+            registry.top_level["index_update"]
+        )
 
 
 # ----------------------------------------------------------------------
