@@ -258,6 +258,22 @@ class NativeKernel:
         mt_shuffle.restype = _c_long
         self.mt_shuffle = mt_shuffle
 
+        walk_motif = lib.repro_walk_motif
+        walk_motif.argtypes = [_c_long] * 3 + [_c_void_p] * 4 + [
+            _c_long,
+            _c_void_p,
+            _c_void_p,
+            _c_long,
+            _c_void_p,
+        ]
+        walk_motif.restype = _c_long
+        self.walk_motif = walk_motif
+
+        assemble_index = lib.repro_assemble_index
+        assemble_index.argtypes = [_c_long] * 4 + [_c_void_p] * 11
+        assemble_index.restype = _c_long
+        self.assemble_index = assemble_index
+
 
 _LOAD_LOCK = threading.Lock()
 _LOADED: Optional[NativeKernel] = None

@@ -1,5 +1,6 @@
-/* Native coverage kernel: the hot loops of CoverageState and whole
- * SGB / CT / WT selections.
+/* Native coverage kernel: the hot loops of CoverageState, whole
+ * SGB / CT / WT selections, and the index side of a build or reload
+ * (the paper's motif walks and the instance-CSR assembly).
  *
  * This file is deliberately dependency-free C99 over the exact flat
  * buffers the Python kernel already owns (C `long` == numpy NP_LONG,
@@ -21,6 +22,11 @@
  *                            (within) selection
  *   repro_mt_shuffle         CPython's seeded random.shuffle over an id
  *                            array (RD / RDT; no ctx)
+ *   repro_walk_motif         triangle / rectangle / rectri instance rows
+ *                            of a list of targets over the graph CSR
+ *                            (no ctx)
+ *   repro_assemble_index     the inverse CSR, counter matrix and slot
+ *                            table of a TargetSubgraphIndex (no ctx)
  *
  * Heap representation: a binary min-heap over parallel (keys, ids)
  * arrays ordered lexicographically by (key, id) — exactly the total
@@ -650,4 +656,265 @@ REPRO_EXPORT long repro_mt_shuffle(long long *state, long *ids, long n)
         state[i] = (long long) mt[i];
     state[MT_N] = index;
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* index side: motif walks and instance-CSR assembly                   */
+/* ------------------------------------------------------------------ */
+
+/* Motif codes of repro_walk_motif (TargetSubgraphIndex's walk table). */
+#define WALK_TRIANGLE 0
+#define WALK_RECTANGLE 1
+#define WALK_RECTRI 2
+
+/* Append one instance row of `arity` edge ids when it fits the caller's
+ * buffer (`capacity` rows); rows past it are only counted. */
+static void walk_emit(long *out, long capacity, long *total, long arity,
+                      long e0, long e1, long e2, long e3)
+{
+    if (*total < capacity) {
+        long *row = out + *total * arity;
+        row[0] = e0;
+        row[1] = e1;
+        if (arity > 2)
+            row[2] = e2;
+        if (arity > 3)
+            row[3] = e3;
+    }
+    *total += 1;
+}
+
+/* Whether `node` is a node id whose CSR row lies inside the `n_entries`
+ * row entries (and, with `scan`, holds only node ids).  The walks index
+ * rows and the mark scratch with these values, so a corrupt CSR is
+ * refused instead of read or written out of range: the endpoint rows are
+ * scanned once per target, the inner rows' entries checked as read. */
+static int walk_row_ok(const long *indptr, const long *neighbors,
+                       long n_nodes, long n_entries, long node, int scan)
+{
+    long j;
+    if ((unsigned long) node >= (unsigned long) n_nodes)
+        return 0;
+    if (indptr[node] < 0 || indptr[node] > indptr[node + 1]
+        || indptr[node + 1] > n_entries)
+        return 0;
+    if (scan)
+        for (j = indptr[node]; j < indptr[node + 1]; j++)
+            if ((unsigned long) neighbors[j] >= (unsigned long) n_nodes)
+                return 0;
+    return 1;
+}
+
+/* Mark the CSR row of `node`: mark[neighbor] = incident edge id (set) or
+ * -1 (clear). */
+static void walk_mark(const long *indptr, const long *neighbors,
+                      const long *incident, long *mark, long node, int set)
+{
+    long j;
+    for (j = indptr[node]; j < indptr[node + 1]; j++)
+        mark[neighbors[j]] = set ? incident[j] : -1;
+}
+
+/* One target's instances (see repro_walk_motif); returns 0, or -2 for an
+ * out-of-range CSR row met inside the walk.  Only `mark_v` (rectangle) or
+ * both marks (rectri) hold the endpoint rows while it runs. */
+static long walk_target(long motif, long n_nodes, long n_entries,
+                        const long *indptr, const long *neighbors,
+                        const long *incident, long u, long v,
+                        const long *mark_u, const long *mark_v, long *out,
+                        long capacity, long *total)
+{
+    long i, j, k;
+    if (motif == WALK_RECTANGLE) {
+        for (i = indptr[u]; i < indptr[u + 1]; i++) {
+            long a = neighbors[i];
+            if (a == v)
+                continue;
+            if (!walk_row_ok(indptr, neighbors, n_nodes, n_entries, a, 0))
+                return -2;
+            for (k = indptr[a]; k < indptr[a + 1]; k++) {
+                long b = neighbors[k];
+                if ((unsigned long) b >= (unsigned long) n_nodes)
+                    return -2;
+                if (b == u || b == v || mark_v[b] < 0)
+                    continue;
+                walk_emit(out, capacity, total, 3, incident[i], incident[k],
+                          mark_v[b], 0);
+            }
+        }
+        return 0;
+    }
+    /* triangle / rectri: two-pointer merge of the sorted rows of u and v */
+    i = indptr[u];
+    j = indptr[v];
+    while (i < indptr[u + 1] && j < indptr[v + 1]) {
+        long w = neighbors[i];
+        if (w < neighbors[j]) {
+            i++;
+            continue;
+        }
+        if (w > neighbors[j]) {
+            j++;
+            continue;
+        }
+        if (motif == WALK_TRIANGLE) {
+            walk_emit(out, capacity, total, 2, incident[i], incident[j], 0, 0);
+        } else {
+            if (!walk_row_ok(indptr, neighbors, n_nodes, n_entries, w, 0))
+                return -2;
+            for (k = indptr[w]; k < indptr[w + 1]; k++) {
+                long b = neighbors[k];
+                if ((unsigned long) b >= (unsigned long) n_nodes)
+                    return -2;
+                if (b == u || b == v)
+                    continue;
+                /* orientation u - w - b - v, then v - w - b - u */
+                if (mark_v[b] >= 0)
+                    walk_emit(out, capacity, total, 4, incident[i],
+                              incident[j], incident[k], mark_v[b]);
+                if (mark_u[b] >= 0)
+                    walk_emit(out, capacity, total, 4, incident[i],
+                              incident[j], incident[k], mark_u[b]);
+            }
+        }
+        i++;
+        j++;
+    }
+    return 0;
+}
+
+/* Enumerate the instances of `n_targets` targets of a built-in motif over
+ * an IndexedGraph CSR, as fixed-arity rows of protector edge ids, in
+ * exactly the order of the motif's Python `enumerate_instance_edge_ids`:
+ *   triangle   (u,w) (w,v)             common neighbors w ascending
+ *   rectangle  (u,a) (a,b) (b,v)       a along u's row, b along a's row
+ *   rectri     (u,w) (w,v) (w,b) (b,x) w common ascending, b along w's
+ *                                      row, x = v then x = u
+ * `ends` holds each target's endpoint node ids (u, v), -1 for an endpoint
+ * absent from the graph (no instances).  `mark` is 2n longs of caller-
+ * owned scratch, all -1 on entry and again on return (no static state,
+ * so concurrent calls are safe on distinct scratch).  Rows are written
+ * to `out` while they fit its `capacity` rows and counted past it;
+ * `counts[t]` receives target t's instance count.  Returns the total
+ * instance count (the caller re-walks with a larger buffer when it
+ * exceeds `capacity`), -1 for an unknown motif code, or -2 for a CSR row
+ * that is out of range (`n_entries` is the length of `neighbors`). */
+REPRO_EXPORT long repro_walk_motif(long motif, long n_nodes, long n_entries,
+                                   const long *indptr, const long *neighbors,
+                                   const long *incident, const long *ends,
+                                   long n_targets, long *mark, long *out,
+                                   long capacity, long *counts)
+{
+    long *mark_u = mark, *mark_v = mark + n_nodes;
+    long total = 0, t, status;
+    if (motif != WALK_TRIANGLE && motif != WALK_RECTANGLE
+        && motif != WALK_RECTRI)
+        return -1;
+    for (t = 0; t < n_targets; t++) {
+        long u = ends[2 * t], v = ends[2 * t + 1], before = total;
+        if (u < 0 || v < 0) {
+            counts[t] = 0;
+            continue;
+        }
+        if (!walk_row_ok(indptr, neighbors, n_nodes, n_entries, u, 1)
+            || !walk_row_ok(indptr, neighbors, n_nodes, n_entries, v, 1))
+            return -2;
+        if (motif != WALK_TRIANGLE)
+            walk_mark(indptr, neighbors, incident, mark_v, v, 1);
+        if (motif == WALK_RECTRI)
+            walk_mark(indptr, neighbors, incident, mark_u, u, 1);
+        status = walk_target(motif, n_nodes, n_entries, indptr, neighbors,
+                             incident, u, v, mark_u, mark_v, out, capacity,
+                             &total);
+        if (motif != WALK_TRIANGLE)
+            walk_mark(indptr, neighbors, incident, mark_v, v, 0);
+        if (motif == WALK_RECTRI)
+            walk_mark(indptr, neighbors, incident, mark_u, u, 0);
+        if (status < 0)
+            return status;
+        counts[t] = total - before;
+    }
+    return total;
+}
+
+/* Assembly passes 2-3 of TargetSubgraphIndex: from the instance-major
+ * membership buffer (`inst_indptr`, `memberships`, `inst_target_idx`)
+ * build, over `m` edge ids,
+ *   edge_indptr (m+1), gain (m), edge_inst_ids (n_memberships)
+ *       the edge -> instances inverse CSR (one counting sort, stable:
+ *       within an edge, instance ids ascend) and its row lengths;
+ *   et_indptr (m+1), et_tidx, et_count
+ *       the per-(edge, target) counter matrix: one run per distinct
+ *       target along an edge's (target-ordered) instance row;
+ *   inst_slot (n_memberships)
+ *       each membership's counter-matrix slot.
+ * et_tidx / et_count need room for n_memberships entries (the run count
+ * never exceeds it); `scratch` is n_memberships longs of caller-owned
+ * scratch.  `n_target_idx` is the length of `inst_target_idx`, which
+ * must hold one entry per instance.  Returns the number of counter-matrix
+ * entries, or -1 (outputs unspecified) when an edge id, the instance
+ * offsets or the target-index length are out of range, so no read or
+ * write ever leaves its buffer. */
+REPRO_EXPORT long repro_assemble_index(long m, long n_instances,
+                                       long n_memberships, long n_target_idx,
+                                       const long *inst_indptr,
+                                       const long *memberships,
+                                       const long *inst_target_idx,
+                                       long *edge_indptr, long *gain,
+                                       long *edge_inst_ids, long *et_indptr,
+                                       long *et_tidx, long *et_count,
+                                       long *inst_slot, long *scratch)
+{
+    long e, i, p, q, lo, runs = 0, offset = 0;
+    long *cursor = et_indptr; /* reused before pass 3 overwrites it */
+    if (n_target_idx != n_instances || inst_indptr[0] != 0
+        || inst_indptr[n_instances] != n_memberships)
+        return -1;
+    for (i = 0; i < n_instances; i++)
+        if (inst_indptr[i + 1] < inst_indptr[i])
+            return -1;
+    for (e = 0; e < m; e++)
+        gain[e] = 0;
+    for (p = 0; p < n_memberships; p++) {
+        e = memberships[p];
+        if (e < 0 || e >= m)
+            return -1;
+        gain[e] += 1;
+    }
+    for (e = 0; e < m; e++) {
+        edge_indptr[e] = offset;
+        cursor[e] = offset;
+        offset += gain[e];
+    }
+    edge_indptr[m] = offset;
+    /* pass 2: scatter instance ids into their edges' rows, remembering
+     * each sorted position's membership position */
+    for (i = 0; i < n_instances; i++) {
+        long stop = inst_indptr[i + 1];
+        for (p = inst_indptr[i]; p < stop; p++) {
+            q = cursor[memberships[p]]++;
+            edge_inst_ids[q] = i;
+            scratch[q] = p;
+        }
+    }
+    /* pass 3: run-length encode the target along every edge row */
+    et_indptr[0] = 0;
+    lo = 0;
+    for (e = 0; e < m; e++) {
+        long hi = lo + gain[e], previous = -1;
+        for (q = lo; q < hi; q++) {
+            long tidx = inst_target_idx[edge_inst_ids[q]];
+            if (tidx != previous) {
+                et_tidx[runs] = tidx;
+                et_count[runs] = 0;
+                runs++;
+                previous = tidx;
+            }
+            et_count[runs - 1] += 1;
+            inst_slot[scratch[q]] = runs - 1;
+        }
+        et_indptr[e + 1] = runs;
+        lo = hi;
+    }
+    return runs;
 }

@@ -177,5 +177,5 @@ def random_target_subgraph_deletion(
     hash-order hazard) is needed.  If the pool is smaller than the budget
     every pool edge is deleted.
     """
-    pool = np.array(problem.build_index().candidate_edge_ids(), dtype=NP_LONG)
+    pool = problem.build_index().candidate_edge_id_array()
     return _run_random_baseline(problem, budget, pool, "RDT", seed, state)

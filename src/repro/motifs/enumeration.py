@@ -44,14 +44,21 @@ built-in motifs intersect integer adjacency rows instead of hashing node
 tuples; custom motifs fall back to the tuple-based
 ``enumerate_instances`` transparently.
 
-Construction is built for speed through **vectorised assembly**: pass 1
-only collects flat buffers (membership edge ids, per-instance arities,
-per-target instance counts); the inverse CSR, the per-(edge, target) counter
-matrix and the slot table are then assembled with numpy counting sorts
-(``np.argsort``/``np.bincount``/``np.cumsum``) instead of element-wise Python
-loops.  The seed's loops are retained behind ``assembly="python"`` as the
-executable reference — both paths produce byte-identical arrays (pinned by
-``tests/property/test_index_build_equivalence.py``).
+Construction is built for speed: pass 1 only collects flat buffers
+(membership edge ids, per-instance arities, per-target instance counts);
+the inverse CSR, the per-(edge, target) counter matrix and the slot table
+are then assembled in passes 2-3.  With the native kernel loaded
+(:func:`repro._native.load_kernel`), both run in ``coverage_kernel.c``:
+the paper's three motifs (triangle, rectangle, rectri — by exact type)
+walk the CSR in C, in the Python walks' order, and passes 2-3 are one
+counting sort plus one run-length pass.  Without it (or under
+``REPRO_NATIVE=0``) the Python walks and the numpy counting sorts
+(``np.argsort``/``np.bincount``/``np.cumsum``) do the same work; other
+motifs always walk in Python.  The seed's element-wise loops are retained
+behind ``assembly="python"`` as the executable reference — every path
+produces byte-identical arrays (pinned by
+``tests/property/test_index_build_equivalence.py`` and
+``tests/property/test_native_index_differential.py``).
 
 The differential tests in ``tests/property/test_kernel_differential.py``
 assert that the kernel and a from-scratch recount of the graph agree on
@@ -69,10 +76,14 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 import numpy as np
 
+from repro._native import load_kernel
 from repro.exceptions import MotifError
 from repro.graphs.graph import Edge, Graph, canonical_edge, edge_sort_key
 from repro.graphs.indexed import ASSEMBLY_MODES, NP_LONG, IndexedGraph
 from repro.motifs.base import MotifInstance, MotifPattern, coerce_motif
+from repro.motifs.rectangle import RectangleMotif
+from repro.motifs.rectri import RecTriMotif
+from repro.motifs.triangle import TriangleMotif
 from repro.motifs.coverage import (  # noqa: F401  (re-exported API)
     _SCALAR_KILL_THRESHOLD,
     CoverageState,
@@ -108,18 +119,102 @@ INDEX_ARRAY_FIELDS = (
 # ----------------------------------------------------------------------
 # pass 1: per-target enumeration into flat buffers
 # ----------------------------------------------------------------------
+
+#: The motifs the native kernel walks, keyed by exact type (a subclass may
+#: override the walk): ``(motif code of repro_walk_motif, instance arity)``.
+_NATIVE_WALKS = {
+    TriangleMotif: (0, 2),
+    RectangleMotif: (1, 3),
+    RecTriMotif: (2, 4),
+}
+
+#: Instance rows the native walk's first output buffer holds; a walk that
+#: finds more is repeated once into a buffer of the exact size.
+_WALK_ROWS = 4096
+
+
 def _enumerate_buffers(
     indexed: IndexedGraph,
-    graph: Graph,
+    graph: Optional[Graph],
     motif: MotifPattern,
     targets: Sequence[Edge],
-) -> Tuple[array, array, List[int]]:
+):
     """Enumerate ``targets`` into ``(edge ids, arities, per-target counts)``.
 
     This is the single enumeration dispatcher of the build and of the
-    incremental delta maintenance: built-in motifs walk the CSR rows via
-    ``enumerate_instance_edge_ids`` (a deterministic id-order walk), custom
-    motifs take the tuple-enumeration fallback inherited from
+    incremental delta maintenance: with the native kernel loaded, the
+    paper's motifs walk the CSR in C (:func:`_walk_native`); otherwise
+    :func:`_enumerate_buffers_python` runs their Python walks.  Both
+    produce the same buffers.
+    """
+    walk = _NATIVE_WALKS.get(type(motif))
+    kernel = load_kernel() if walk is not None else None
+    if kernel is not None:
+        return _walk_native(kernel, walk, indexed, targets)
+    return _enumerate_buffers_python(indexed, graph, motif, targets)
+
+
+def _walk_native(
+    kernel, walk: Tuple[int, int], indexed: IndexedGraph, targets: Sequence[Edge]
+) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """The native walk of :func:`_enumerate_buffers`: one
+    ``repro_walk_motif`` call over every target, in fixed-arity rows.
+
+    The output buffer starts at :data:`_WALK_ROWS` rows; the kernel counts
+    the rows that did not fit, and a second walk fills a buffer of the
+    exact size.  The mark scratch is allocated per call, so concurrent
+    walks share nothing.
+    """
+    code, arity = walk
+    n_targets = len(targets)
+    node_id = indexed._node_id
+    ends = np.fromiter(
+        (node_id.get(x, -1) for target in targets for x in target),
+        dtype=NP_LONG,
+        count=2 * n_targets,
+    )
+    n_nodes = indexed.number_of_nodes()
+    indptr, neighbors, incident = indexed.csr()
+    mark = np.full(2 * n_nodes, -1, dtype=NP_LONG)
+    counts = np.empty(n_targets, dtype=NP_LONG)
+    rows = _WALK_ROWS
+    while True:
+        out = np.empty(rows * arity, dtype=NP_LONG)
+        total = kernel.walk_motif(
+            code,
+            n_nodes,
+            len(neighbors),
+            indptr.buffer_info()[0],
+            neighbors.buffer_info()[0],
+            incident.buffer_info()[0],
+            ends.ctypes.data,
+            n_targets,
+            mark.ctypes.data,
+            out.ctypes.data,
+            rows,
+            counts.ctypes.data,
+        )
+        if total < 0:
+            raise MotifError("the graph CSR has a row out of range; cannot walk it")
+        if total <= rows:
+            break
+        rows = total
+    edge_ids = out[: total * arity] if total == rows else out[: total * arity].copy()
+    return edge_ids, np.full(total, arity, dtype=NP_LONG), counts.tolist()
+
+
+def _enumerate_buffers_python(
+    indexed: IndexedGraph,
+    graph: Optional[Graph],
+    motif: MotifPattern,
+    targets: Sequence[Edge],
+) -> Tuple[array, array, List[int]]:
+    """The Python walks of :func:`_enumerate_buffers` (the native walk's
+    fallback and differential oracle).
+
+    Built-in motifs walk the CSR rows via ``enumerate_instance_edge_ids``
+    (a deterministic id-order walk), custom motifs take the
+    tuple-enumeration fallback inherited from
     :class:`~repro.motifs.base.MotifPattern`.
 
     The fallback's generation order follows ``Graph`` adjacency-*set*
@@ -164,10 +259,11 @@ class TargetSubgraphIndex:
     motif:
         The subgraph pattern (name or :class:`MotifPattern`).
     assembly:
-        ``"numpy"`` (default) assembles the flat arrays with vectorised
-        counting sorts; ``"python"`` runs the seed's element-wise loops.
-        Byte-identical outputs; the flag exists for the build benchmark and
-        the differential tests.
+        ``"numpy"`` (default) walks and assembles in the native kernel when
+        it is loaded, else with the Python walks and vectorised numpy
+        counting sorts; ``"python"`` runs the seed's Python walks and
+        element-wise loops.  Byte-identical outputs; the flag exists for the
+        build benchmark and the differential tests.
 
     Notes
     -----
@@ -215,7 +311,11 @@ class TargetSubgraphIndex:
         # Only flat buffers are collected (membership edge ids, per-instance
         # arities, per-target counts).
         # ------------------------------------------------------------------
-        edge_buffer, arity_buffer, counts = _enumerate_buffers(
+        # the seed path (assembly="python") walks in Python too
+        enumerate_buffers = (
+            _enumerate_buffers_python if assembly == "python" else _enumerate_buffers
+        )
+        edge_buffer, arity_buffer, counts = enumerate_buffers(
             indexed, graph, self._motif, self._targets
         )
 
@@ -230,7 +330,7 @@ class TargetSubgraphIndex:
         if assembly == "python":
             self._assemble_python(edge_buffer, arity_buffer, counts)
         else:
-            self._assemble_numpy(edge_buffer, arity_buffer, counts)
+            self._assemble(edge_buffer, arity_buffer, counts)
         self._finalize_derived()
 
     def _finalize_derived(self) -> None:
@@ -309,7 +409,7 @@ class TargetSubgraphIndex:
             ranges.append((cursor, cursor + count))
             cursor += count
         self._target_ranges = tuple(ranges)
-        self._assemble_numpy(edge_buffer, arity_buffer, counts)
+        self._assemble(edge_buffer, arity_buffer, counts)
         self._finalize_derived()
         return self
 
@@ -414,6 +514,80 @@ class TargetSubgraphIndex:
         self._finalize_derived()
         return self
 
+    def _assemble(self, edge_buffer, arity_buffer, counts: List[int]) -> None:
+        """Passes 2-3: in the native kernel when it is loaded, else numpy.
+
+        Both set the same :data:`INDEX_ARRAY_FIELDS`, byte for byte.
+        """
+        kernel = load_kernel()
+        if kernel is not None:
+            self._assemble_native(kernel, edge_buffer, arity_buffer, counts)
+        else:
+            self._assemble_numpy(edge_buffer, arity_buffer, counts)
+
+    def _instance_arrays(self, edge_buffer, arity_buffer, counts: List[int]):
+        """Set the instance-major arrays shared by both assemblies; return
+        ``(memberships, arities)``."""
+        memberships = np.array(edge_buffer, dtype=NP_LONG)
+        arities = np.asarray(arity_buffer, dtype=NP_LONG)
+        inst_indptr = np.zeros(len(arities) + 1, dtype=NP_LONG)
+        np.cumsum(arities, out=inst_indptr[1:])
+        self._inst_indptr = inst_indptr
+        self._inst_edge_ids = memberships
+        self._inst_target_idx = np.repeat(
+            np.arange(len(self._targets), dtype=NP_LONG),
+            np.asarray(counts, dtype=NP_LONG),
+        )
+        return memberships, arities
+
+    def _assemble_native(
+        self, kernel, edge_buffer, arity_buffer, counts: List[int]
+    ) -> None:
+        """Passes 2-3 in one ``repro_assemble_index`` call: a counting sort
+        into the inverse CSR (stable, like the numpy path's argsort) and a
+        run-length pass over it for the counter matrix and slot table.
+        The output buffers are allocated here, per call."""
+        memberships, arities = self._instance_arrays(
+            edge_buffer, arity_buffer, counts
+        )
+        m = self._indexed.number_of_edges()
+        n_memberships = len(memberships)
+        edge_indptr = np.empty(m + 1, dtype=NP_LONG)
+        gain = np.empty(m, dtype=NP_LONG)
+        et_indptr = np.empty(m + 1, dtype=NP_LONG)
+        edge_inst_ids, et_tidx, et_count, inst_slot, scratch = (
+            np.empty(n_memberships, dtype=NP_LONG) for _ in range(5)
+        )
+        slots = kernel.assemble_index(
+            m,
+            len(arities),
+            n_memberships,
+            len(self._inst_target_idx),
+            self._inst_indptr.ctypes.data,
+            memberships.ctypes.data,
+            self._inst_target_idx.ctypes.data,
+            edge_indptr.ctypes.data,
+            gain.ctypes.data,
+            edge_inst_ids.ctypes.data,
+            et_indptr.ctypes.data,
+            et_tidx.ctypes.data,
+            et_count.ctypes.data,
+            inst_slot.ctypes.data,
+            scratch.ctypes.data,
+        )
+        if slots < 0:
+            raise MotifError(
+                "instance memberships, offsets or per-target counts do not "
+                "match the edge ids and instances"
+            )
+        self._edge_indptr = edge_indptr
+        self._edge_inst_ids = edge_inst_ids
+        self._initial_gain = gain
+        self._et_indptr = et_indptr
+        self._et_tidx = et_tidx[:slots].copy()
+        self._et_initial_count = et_count[:slots].copy()
+        self._inst_slot = inst_slot
+
     def _assemble_numpy(
         self, edge_buffer: array, arity_buffer: array, counts: List[int]
     ) -> None:
@@ -428,19 +602,10 @@ class TargetSubgraphIndex:
         inverse scatter of the run ids back to instance-major positions.
         """
         m = self._indexed.number_of_edges()
-        n_targets = len(self._targets)
-        memberships = np.array(edge_buffer, dtype=NP_LONG)
-        arities = np.array(arity_buffer, dtype=NP_LONG)
-        target_counts = np.asarray(counts, dtype=NP_LONG)
-        n_instances = len(arities)
-
-        inst_indptr = np.zeros(n_instances + 1, dtype=NP_LONG)
-        np.cumsum(arities, out=inst_indptr[1:])
-        self._inst_indptr = inst_indptr
-        self._inst_edge_ids = memberships
-        self._inst_target_idx = np.repeat(
-            np.arange(n_targets, dtype=NP_LONG), target_counts
+        memberships, arities = self._instance_arrays(
+            edge_buffer, arity_buffer, counts
         )
+        n_instances = len(arities)
 
         # pass 2: invert into the edge id -> instances CSR
         per_edge = np.bincount(memberships, minlength=m).astype(NP_LONG, copy=False)
@@ -649,6 +814,11 @@ class TargetSubgraphIndex:
         """Return the candidate edges' dense ids (of :attr:`indexed_graph`),
         ascending — the id form of :meth:`candidate_edge_list`."""
         return self._candidate_ids
+
+    def candidate_edge_id_array(self) -> np.ndarray:
+        """Return :meth:`candidate_edge_ids` as a fresh ``NP_LONG`` array
+        (one buffer copy; the caller may shuffle it in place)."""
+        return np.array(self._candidate_id_array, dtype=NP_LONG)
 
     def candidate_edges_of(self, target: Edge) -> Set[Edge]:
         """Return the edges participating in some instance of ``target``."""

@@ -32,19 +32,21 @@ How a delta is applied
    :attr:`~repro.motifs.base.MotifPattern.delta_radius` hops of ``u`` or
    ``v``, so only targets with an endpoint inside the radius ball around
    the inserted edges can gain instances — those targets are re-enumerated
-   through the same per-motif CSR walk
-   (:meth:`~repro.motifs.base.MotifPattern.enumerate_instance_edge_ids`)
-   the build uses, with the same canonicalised tuple fallback for custom
-   motifs.  A motif without a declared radius falls back to re-enumerating
-   every target on inserts (deletions stay incremental regardless).
+   together, in one call of the same walk dispatcher the build uses (the
+   native kernel's walk for the paper's motifs, else the per-motif CSR
+   walk :meth:`~repro.motifs.base.MotifPattern.enumerate_instance_edge_ids`,
+   with the same canonicalised tuple fallback for custom motifs).  A motif
+   without a declared radius falls back to re-enumerating every target on
+   inserts (deletions stay incremental regardless).
 5. **Splice + reassemble.**  Surviving instance rows keep their relative
    order (the edge-id remap is monotone, and both the built-in CSR walks
    and the canonical custom order are order-preserving under monotone id
    maps), so each target's block is either a remapped slice of the old
-   membership buffer or a freshly enumerated one.  The concatenated
-   buffers feed the exact vectorised assembly passes of a fresh build,
-   which is what makes bit-identity hold by construction rather than by
-   luck.
+   membership buffer or a freshly enumerated one.  Only the touched
+   targets are visited; each run of untouched targets between them is one
+   remapped slice.  The concatenated buffers feed the exact assembly
+   passes of a fresh build, which is what makes bit-identity hold by
+   construction rather than by luck.
 
 The differential tests (``tests/property/test_index_update_equivalence.py``)
 pin every delta path byte-identical against a from-scratch rebuild, across
@@ -329,52 +331,78 @@ def apply_delta(index: TargetSubgraphIndex, delta: EdgeDelta) -> DeltaOutcome:
     edge_inst_ids = index._edge_inst_ids
     for edge_id in deleted_ids:
         destroyed[edge_inst_ids[edge_indptr[edge_id] : edge_indptr[edge_id + 1]]] = True
+    n_targets = len(index.targets)
+    destroyed_per_target = np.bincount(
+        index._inst_target_idx[destroyed], minlength=n_targets
+    )
 
-    reenumerate = _targets_to_reenumerate(index, new_indexed, inserted)
+    reenumerate = sorted(_targets_to_reenumerate(index, new_indexed, inserted))
     # the tuple fallback (and any custom id-space walk) receives a real
     # Graph view of the updated phase-1 graph, same as a fresh build would;
     # the built-in CSR walks declare needs_graph = False, sparing small
     # deltas the O(n + m) adjacency materialisation
-    needs_graph = getattr(index.motif, "needs_graph", True)
+    motif = index.motif
+    targets = index.targets
+    needs_graph = getattr(motif, "needs_graph", True)
     new_graph = new_indexed.to_graph() if (reenumerate and needs_graph) else None
+    # every re-enumerated target in one walk; fresh_at[i] : fresh_at[i + 1]
+    # spans the i-th one's memberships
+    fresh_edges, fresh_arities, fresh_counts = (
+        _enumerate_buffers(
+            new_indexed, new_graph, motif, [targets[p] for p in reenumerate]
+        )
+        if reenumerate
+        else ((), (), [])
+    )
+    fresh_edges = np.asarray(fresh_edges, dtype=NP_LONG)
+    fresh_arities = np.asarray(fresh_arities, dtype=NP_LONG)
+    fresh_rows = np.concatenate(([0], np.cumsum(fresh_counts, dtype=NP_LONG)))
+    fresh_at = np.concatenate(([0], np.cumsum(fresh_arities, dtype=NP_LONG)))[
+        fresh_rows
+    ].tolist()
+    fresh_rows = fresh_rows.tolist()
 
     old_members = index._inst_edge_ids
     remapped = edge_id_map[old_members] if len(old_members) else old_members
     old_indptr = index._inst_indptr
     old_arities = np.diff(old_indptr)
+    old_counts = np.bincount(index._inst_target_idx, minlength=n_targets).tolist()
 
+    # only the touched targets are visited; each run of untouched targets
+    # between them survives as one remapped slice
+    walked = dict(zip(reenumerate, range(len(reenumerate))))
+    touched = sorted(set(np.flatnonzero(destroyed_per_target).tolist()) | set(walked))
+    ranges = index._target_ranges
     edge_parts: List[np.ndarray] = []
     arity_parts: List[np.ndarray] = []
     counts: List[int] = []
     changed: List[Edge] = []
     instances_added = 0
-    motif = index.motif
-    targets = index.targets
-    for position, (start, end) in enumerate(index._target_ranges):
-        block_destroyed = destroyed[start:end]
-        n_destroyed = int(block_destroyed.sum())
-        if position in reenumerate:
-            edge_buffer, arity_buffer, block_counts = _enumerate_buffers(
-                new_indexed, new_graph, motif, (targets[position],)
-            )
-            fresh_count = int(block_counts[0])
-            if len(edge_buffer):
-                edge_parts.append(np.frombuffer(edge_buffer, dtype=NP_LONG))
-            if len(arity_buffer):
-                arity_parts.append(np.frombuffer(arity_buffer, dtype=NP_LONG))
-            counts.append(fresh_count)
-            surviving = (end - start) - n_destroyed
-            instances_added += fresh_count - surviving
-            if n_destroyed or fresh_count != surviving:
-                changed.append(targets[position])
-            continue
-        if not n_destroyed:
-            # untouched target: its whole block survives as one remapped slice
+    untouched_from = 0
+    for position in touched + [n_targets]:
+        if untouched_from < position:
+            start = ranges[untouched_from][0]
+            end = ranges[position - 1][1]
             edge_parts.append(remapped[old_indptr[start] : old_indptr[end]])
             arity_parts.append(old_arities[start:end])
-            counts.append(end - start)
+            counts.extend(old_counts[untouched_from:position])
+        untouched_from = position + 1
+        if position == n_targets:
+            break
+        start, end = ranges[position]
+        n_destroyed = int(destroyed_per_target[position])
+        slot = walked.get(position)
+        if slot is not None:
+            lo, hi = fresh_rows[slot], fresh_rows[slot + 1]
+            edge_parts.append(fresh_edges[fresh_at[slot] : fresh_at[slot + 1]])
+            arity_parts.append(fresh_arities[lo:hi])
+            counts.append(hi - lo)
+            surviving = (end - start) - n_destroyed
+            instances_added += (hi - lo) - surviving
+            if n_destroyed or hi - lo != surviving:
+                changed.append(targets[position])
             continue
-        kept = np.flatnonzero(~block_destroyed) + start
+        kept = np.flatnonzero(~destroyed[start:end]) + start
         kept_arities = old_arities[kept]
         positive = kept_arities > 0
         if positive.any():
