@@ -27,29 +27,27 @@ turn, so a host slowdown of a few seconds lands in one round of a cell,
 not in all of its samples.  The two kernels' results must be identical in
 every field but the runtime (``whole_solves_identical``).
 
-Every native timing carries a ``ceiling_us``: the committed report's
-ceilings are what ``check_bench_regression.py`` gates a fresh run on.
-Without the native kernel (no compiler, or ``REPRO_NATIVE=0``) only the
-numpy timings are taken and the ceilings do not apply.  The script exits
-non-zero if the two kernels disagree on any loop or whole solve, so it
-doubles as a large-instance differential test.  The paper's naive vs
+Each cell's ``us`` is the native timing and carries a ``ceiling_us``: the
+committed report's ceilings are what ``check_bench_regression.py`` gates a
+fresh run on (``harness.py`` has the report schema).  Without the native
+kernel (no compiler, or ``REPRO_NATIVE=0``) only the numpy timings are
+taken, ``us`` is the numpy one and the ceilings do not apply.  The script
+exits non-zero if the two kernels disagree on any loop or whole solve, so
+it doubles as a large-instance differential test.  The paper's naive vs
 ``-R`` runtime comparison lives in ``bench_fig5_runtime_arenas.py``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import statistics
 import sys
-import time
 from pathlib import Path
 from typing import Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+import harness  # noqa: E402
 from repro._native import native_available  # noqa: E402
 from repro.core.model import TPPProblem  # noqa: E402
 from repro.datasets.targets import sample_degree_weighted_targets  # noqa: E402
@@ -81,28 +79,6 @@ WHOLE_SOLVE_CEILING_US = {
     "CT-Greedy:TBD": (2500, 3100, 6200, 5700, 6900),
     "WT-Greedy:TBD": (1900, 2700, 3200, 3800, 3800),
 }
-
-
-def best_of(fn, repeats: int, min_seconds: float) -> float:
-    """Return the minimum wall-clock of ``fn`` over a noise-robust sample.
-
-    Runs until both ``repeats`` runs have happened *and* ``min_seconds``
-    of total wall-clock has accumulated — cheap measurements repeat many
-    times, expensive ones stop at ``repeats``.  The runs are
-    deterministic, so the spread is pure scheduler/GC noise and the
-    minimum is the robust statistic.
-    """
-    best = float("inf")
-    total = 0.0
-    runs = 0
-    while runs < max(1, repeats) or total < min_seconds:
-        started = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - started
-        best = min(best, elapsed)
-        total += elapsed
-        runs += 1
-    return best
 
 
 def _native_loops(index, budget: int):
@@ -148,8 +124,14 @@ def _native_loops(index, budget: int):
     return {"sgb": sgb_loop, "ct": ct_loop, "wt": wt_loop}
 
 
-def run_native_section(args: argparse.Namespace, kernels: Tuple[str, ...]) -> dict:
-    """Time the kernel loops on every available kernel (best-of-N, µs)."""
+def run_native_section(
+    args: argparse.Namespace, kernels: Tuple[str, ...]
+) -> Tuple[dict, dict, bool]:
+    """Time the kernel loops on every available kernel (best-of-N).
+
+    Returns the section's instance config, its cells and whether the
+    kernels landed on the same similarities.
+    """
     graph = powerlaw_cluster_graph(
         args.nodes, args.native_attach, 0.4, seed=args.seed
     )
@@ -157,54 +139,45 @@ def run_native_section(args: argparse.Namespace, kernels: Tuple[str, ...]) -> di
         graph, args.native_targets, seed=args.seed
     )
     problem = TPPProblem(graph, targets, motif=args.motif)
-    started = time.perf_counter()
     index = problem.build_index()
-    enumeration_seconds = time.perf_counter() - started
-
-    section = {
-        "config": {
-            "nodes": graph.number_of_nodes(),
-            "edges": graph.number_of_edges(),
-            "attach": args.native_attach,
-            "targets": len(targets),
-            "motif": args.motif,
-            "budget": args.native_budget,
-            "seed": args.seed,
-            "instances": index.number_of_instances(),
-            "candidate_edges": index.number_of_candidate_edges(),
-            "repeats": args.repeats,
-            "min_seconds": args.min_seconds,
-            "cpu_count": os.cpu_count(),
-        },
-        "enumeration_seconds": round(enumeration_seconds, 6),
-        "loops": {},
+    instance = {
+        "nodes": graph.number_of_nodes(),
+        "edges": graph.number_of_edges(),
+        "attach": args.native_attach,
+        "targets": len(targets),
+        "motif": args.motif,
+        "budget": args.native_budget,
+        "seed": args.seed,
+        "instances": index.number_of_instances(),
+        "candidate_edges": index.number_of_candidate_edges(),
     }
 
+    cells = {}
     loops_agree = True
     for label, loop in _native_loops(index, args.native_budget).items():
-        row = {}
+        seconds = {}
         similarity = {}
         for kernel in kernels:
 
             def timed(run=loop, kernel=kernel):
                 similarity[kernel] = run(index.new_state(kernel=kernel))
 
-            seconds = best_of(timed, args.repeats, args.min_seconds)
-            row[f"{kernel}_us"] = round(seconds * 1e6, 1)
-        if "native" in kernels:
-            row["native_speedup"] = round(row["numpy_us"] / row["native_us"], 2)
-            row["ceiling_us"] = NATIVE_LOOP_CEILING_US[label]
-        row["final_similarity"] = similarity["numpy"]
-        row["kernels_agree"] = len(set(similarity.values())) == 1
-        loops_agree = loops_agree and row["kernels_agree"]
-        section["loops"][label] = row
-    section["native_loops_agree"] = loops_agree
-    return section
+            seconds[kernel] = harness.best_of(timed, args.repeats, args.min_seconds)
+        agree = len(set(similarity.values())) == 1
+        loops_agree = loops_agree and agree
+        cells[f"{label} loop"] = {
+            "us": harness.us(seconds[kernels[0]]),
+            "ceiling_us": NATIVE_LOOP_CEILING_US[label],
+            "numpy_us": harness.us(seconds["numpy"]),
+            "final_similarity": similarity["numpy"],
+            "kernels_agree": agree,
+        }
+    return instance, cells, loops_agree
 
 
 def run_whole_solve_section(
     args: argparse.Namespace, kernels: Tuple[str, ...]
-) -> Tuple[dict, bool]:
+) -> Tuple[dict, dict, bool]:
     """Time whole ``ProtectionService.solve`` calls on every available kernel.
 
     At the default scale the instance is the serving benchmark's
@@ -212,13 +185,13 @@ def run_whole_solve_section(
     nodes (attach 5, seed 0), :data:`SOLVE_TARGETS` degree-weighted
     targets, rectangle motif.  ``--nodes`` scales the node and target
     counts by ``nodes / DEFAULT_NODES`` (never up), so a smoke run stays
-    small.  Per method and budget (:data:`SOLVE_BUDGET_FRACTIONS` of the initial
-    similarity) the minimum over :data:`SOLVE_ROUNDS` rounds of the p50 of
-    :data:`SOLVE_SAMPLES` solves is recorded in absolute microseconds — the
-    state copy, the selection and the result construction, as a session
-    serves it.  Returns the section and
-    whether the kernels' results were identical in every field but
-    the runtime.
+    small.  Per method and budget (:data:`SOLVE_BUDGET_FRACTIONS` of the
+    initial similarity) the minimum over :data:`SOLVE_ROUNDS` rounds of the
+    p50 of :data:`SOLVE_SAMPLES` solves is recorded in absolute
+    microseconds — the state copy, the selection and the result
+    construction, as a session serves it.  Returns the section's instance
+    config, its cells and whether the kernels' results were identical in
+    every field but the runtime.
     """
     scale = min(1.0, args.nodes / DEFAULT_NODES)
     graph = powerlaw_cluster_graph(round(SOLVE_NODES * scale), 5, 0.4, seed=0)
@@ -229,73 +202,76 @@ def run_whole_solve_section(
     sessions = {kernel: ProtectionService(problem, kernel=kernel) for kernel in kernels}
     initial = sessions[kernels[0]].pristine_similarity()
     budgets = [max(1, int(initial * fraction)) for fraction in SOLVE_BUDGET_FRACTIONS]
-    section = {
-        "config": {
-            "nodes": graph.number_of_nodes(),
-            "edges": graph.number_of_edges(),
-            "targets": len(targets),
-            "motif": "rectangle",
-            "instances": initial,
-            "budget_fractions": list(SOLVE_BUDGET_FRACTIONS),
-            "budgets": budgets,
-            "samples": SOLVE_SAMPLES,
-            "rounds": SOLVE_ROUNDS,
-            "cpu_count": os.cpu_count(),
-        },
-        "methods": {},
-    }
-    cells = [
-        (method, position, budget)
-        for method in SOLVE_METHODS
-        for position, budget in enumerate(budgets)
-    ]
-    p50s = {
-        (method, position, kernel): []
-        for method, position, _ in cells
-        for kernel in kernels
+    instance = {
+        "nodes": graph.number_of_nodes(),
+        "edges": graph.number_of_edges(),
+        "targets": len(targets),
+        "motif": "rectangle",
+        "instances": initial,
+        "budget_fractions": list(SOLVE_BUDGET_FRACTIONS),
+        "budgets": budgets,
     }
     answers = {}
-    for _ in range(SOLVE_ROUNDS):
-        for method, position, budget in cells:
-            request = ProtectionRequest(method, budget)
-            for kernel, service in sessions.items():
-                samples = []
-                for _ in range(SOLVE_SAMPLES):
-                    started = time.perf_counter()
-                    answer = service.solve(request)
-                    samples.append(time.perf_counter() - started)
-                p50s[method, position, kernel].append(statistics.median(samples))
-                answers[method, position, kernel] = answer.reproducible_fields()
-    identical = True
-    for method, position, budget in cells:
-        row = {"budget": budget}
-        for kernel in kernels:
-            best = min(p50s[method, position, kernel])
-            row[f"{kernel}_p50_us"] = round(best * 1e6, 1)
-        if "native" in kernels:
-            row["ceiling_us"] = WHOLE_SOLVE_CEILING_US[method][position]
-        row["identical"] = all(
-            answers[method, position, kernel] == answers[method, position, kernels[0]]
+
+    def timed(method, position, kernel):
+        request = ProtectionRequest(method, budgets[position])
+
+        def solve():
+            answers[method, position, kernel] = sessions[kernel].solve(request)
+
+        return solve
+
+    seconds = harness.round_p50s(
+        {
+            (method, position, kernel): timed(method, position, kernel)
+            for method in SOLVE_METHODS
+            for position in range(len(budgets))
             for kernel in kernels
-        )
-        identical = identical and row["identical"]
-        section["methods"].setdefault(method, []).append(row)
-    return section, identical
+        },
+        rounds=SOLVE_ROUNDS,
+        samples=SOLVE_SAMPLES,
+    )
+    cells = {}
+    identical = True
+    for method in SOLVE_METHODS:
+        for position, fraction in enumerate(SOLVE_BUDGET_FRACTIONS):
+            fields = [
+                answers[method, position, kernel].reproducible_fields()
+                for kernel in kernels
+            ]
+            agree = all(field == fields[0] for field in fields)
+            identical = identical and agree
+            cells[f"{method} solve at {fraction:.0%}"] = {
+                "us": harness.us(seconds[method, position, kernels[0]]),
+                "ceiling_us": WHOLE_SOLVE_CEILING_US[method][position],
+                "numpy_us": harness.us(seconds[method, position, "numpy"]),
+                "budget": budgets[position],
+                "identical": agree,
+            }
+    return instance, cells, identical
 
 
 def run(args: argparse.Namespace) -> dict:
     available = native_available()
     kernels = ("native", "numpy") if available else ("numpy",)
-    native = run_native_section(args, kernels)
-    whole_solve, identical = run_whole_solve_section(args, kernels)
-    return {
-        "kind": "engine_kernel",
-        "native_available": available,
-        "native": native,
-        "native_loops_agree": native["native_loops_agree"],
-        "whole_solve": whole_solve,
-        "whole_solves_identical": identical,
-    }
+    loops_instance, loop_cells, loops_agree = run_native_section(args, kernels)
+    solve_instance, solve_cells, identical = run_whole_solve_section(args, kernels)
+    return harness.report(
+        "engine_kernel",
+        instance={"loops": loops_instance, "whole_solve": solve_instance},
+        harness={
+            "repeats": args.repeats,
+            "min_seconds": args.min_seconds,
+            "samples": SOLVE_SAMPLES,
+            "rounds": SOLVE_ROUNDS,
+        },
+        native_available=available,
+        identity={
+            "native_loops_agree": loops_agree,
+            "whole_solves_identical": identical,
+        },
+        cells={**loop_cells, **solve_cells},
+    )
 
 
 def main(argv=None) -> int:
@@ -352,24 +328,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     report = run(args)
-    Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
+    harness.write(report, args.output)
 
-    kernels = ("native", "numpy") if report["native_available"] else ("numpy",)
-    for label, row in report["native"]["loops"].items():
-        cells = "  ".join(f"{kernel} {row[kernel + '_us']:9.1f} us" for kernel in kernels)
-        print(f"{'loop ' + label:>18}: {cells}  agree={row['kernels_agree']}")
-    for method, rows in report["whole_solve"]["methods"].items():
-        cells = "  ".join(
-            "/".join(f"{row[kernel + '_p50_us']:.0f}" for kernel in kernels)
-            for row in rows
+    for name, cell in report["cells"].items():
+        print(
+            f"{name:>30}: {cell['us']:9.1f} us (ceiling {cell['ceiling_us']})  "
+            f"numpy {cell['numpy_us']:9.1f} us"
         )
-        print(f"{'solve ' + method:>18}: {'/'.join(kernels)} p50 us {cells}")
-    print(
-        f"loops agree: {report['native_loops_agree']}; whole solves identical: "
-        f"{report['whole_solves_identical']}; report written to {args.output}"
-    )
-    ok = report["native_loops_agree"] and report["whole_solves_identical"]
-    return 0 if ok else 1
+    print(f"identity: {report['identity']}; report written to {args.output}")
+    return 0 if all(report["identity"].values()) else 1
 
 
 if __name__ == "__main__":

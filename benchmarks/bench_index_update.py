@@ -9,7 +9,7 @@ delta size (1, 10 and 100 edges, half deletions / half insertions), the
 absolute microseconds of ``apply_delta``: the lowest, over five rounds that
 sweep every cell in turn, of a round's p50 of ``--repeats`` applications::
 
-    delta_us     index.apply_delta(delta)                                  (gated)
+    us           index.apply_delta(delta)                                  (gated)
     rebuild_us   TargetSubgraphIndex(updated_phase1_graph, targets, motif) (context)
 
 and verifies the applied index is **bit identical** to the rebuild (all ten
@@ -19,10 +19,12 @@ rebuilt-from-scratch session produce identical protector traces — the
 benchmark doubles as a differential test and exits non-zero on any
 mismatch.
 
-Every ``delta_us`` carries a ``ceiling_us``: the committed report's
-ceilings are what ``check_bench_regression.py`` gates a fresh run on,
-together with the two identity flags (``deltas_identical``,
-``greedy_traces_agree``).  The rebuild is timed once, for context only.
+Each cell ``"<motif> x<size> delta"`` carries its ``us`` next to a
+``ceiling_us``: the committed report's ceilings are what
+``check_bench_regression.py`` gates a fresh run on, together with the two
+identity flags (``deltas_identical``, ``greedy_traces_agree``).  The
+rebuild is timed once, for context only.  ``harness.py`` has the report
+schema.
 
 Run with::
 
@@ -33,18 +35,17 @@ Run with::
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import random
-import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List
+from typing import List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+import harness  # noqa: E402
+from repro._native import native_available  # noqa: E402
 from repro.core.model import TPPProblem  # noqa: E402
 from repro.datasets.targets import sample_degree_weighted_targets  # noqa: E402
 from repro.graphs.generators import powerlaw_cluster_graph  # noqa: E402
@@ -112,23 +113,19 @@ def run(args: argparse.Namespace) -> dict:
             delta = _make_delta(problem.phase1_graph, targets, size, rng)
             cells.append((motif, size, problem, index, delta))
 
-    # the rounds sweep every cell in turn, so a host slowdown of a few
-    # seconds lands in one round of a cell, not in all of its samples
-    p50s: Dict[tuple, List[float]] = {cell[:2]: [] for cell in cells}
-    for _ in range(DELTA_ROUNDS):
-        for motif, size, _, index, delta in cells:
-            samples = []
-            for _ in range(max(1, args.repeats)):
-                started = time.perf_counter()
-                index.apply_delta(delta)
-                samples.append(time.perf_counter() - started)
-            p50s[motif, size].append(statistics.median(samples))
+    def timed(index, delta):
+        return lambda: index.apply_delta(delta)
 
-    per_motif: Dict[str, dict] = {}
+    seconds = harness.round_p50s(
+        {(motif, size): timed(index, delta) for motif, size, _, index, delta in cells},
+        rounds=DELTA_ROUNDS,
+        samples=args.repeats,
+    )
+
+    report_cells = {}
     all_identical = True
     traces_agree = True
     for motif, size, problem, index, delta in cells:
-        rows = per_motif.setdefault(motif, {})
         outcome = index.apply_delta(delta)
         # the updated phase-1 graph, built outside the timed rebuild
         updated_phase1 = problem.phase1_graph.copy()
@@ -165,37 +162,39 @@ def run(args: argparse.Namespace) -> dict:
 
         all_identical = all_identical and identical
         traces_agree = traces_agree and trace_agrees
-        rows[str(size)] = {
+        report_cells[f"{motif} x{size} delta"] = {
+            "us": harness.us(seconds[motif, size]),
+            "ceiling_us": DELTA_CEILING_US.get(motif, {}).get(size),
             "inserts": len(delta.inserted),
             "deletes": len(delta.deleted),
             "instances_before": index.number_of_instances(),
             "instances_after": outcome.index.number_of_instances(),
             "changed_targets": len(outcome.changed_targets),
             "targets_reenumerated": outcome.targets_reenumerated,
-            "delta_us": round(min(p50s[motif, size]) * 1e6, 1),
-            "ceiling_us": DELTA_CEILING_US.get(motif, {}).get(size),
-            "rebuild_us": round(rebuild_seconds * 1e6, 1),
+            "rebuild_us": harness.us(rebuild_seconds),
             "identical": identical,
             "greedy_trace_agrees": trace_agrees,
         }
 
-    return {
-        "kind": "index_update",
-        "config": {
+    return harness.report(
+        "index_update",
+        instance={
             "nodes": graph.number_of_nodes(),
             "edges": graph.number_of_edges(),
+            "attach": args.attach,
             "targets": len(targets),
             "seed": args.seed,
-            "repeats": args.repeats,
-            "rounds": DELTA_ROUNDS,
             "delta_sizes": list(args.delta_sizes),
             "motifs": list(args.motifs),
-            "cpu_count": os.cpu_count(),
         },
-        "motifs": per_motif,
-        "deltas_identical": all_identical,
-        "greedy_traces_agree": traces_agree,
-    }
+        harness={"repeats": args.repeats, "rounds": DELTA_ROUNDS},
+        native_available=native_available(),
+        identity={
+            "deltas_identical": all_identical,
+            "greedy_traces_agree": traces_agree,
+        },
+        cells=report_cells,
+    )
 
 
 def main(argv=None) -> int:
@@ -231,23 +230,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     report = run(args)
-    Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
+    harness.write(report, args.output)
 
-    config = report["config"]
+    instance = report["config"]["instance"]
     print(
-        f"index update at n={config['nodes']}, m={config['edges']}, "
-        f"|T|={config['targets']}:"
+        f"index update at n={instance['nodes']}, m={instance['edges']}, "
+        f"|T|={instance['targets']}:"
     )
-    for motif, rows in report["motifs"].items():
-        for size, row in rows.items():
-            print(
-                f"  {motif:>10} x{size:>4}: delta p50 {row['delta_us']:9.1f} us "
-                f"(ceiling {row['ceiling_us']})  rebuild {row['rebuild_us']:10.1f} us  "
-                f"reenum={row['targets_reenumerated']} "
-                f"identical={row['identical']} trace={row['greedy_trace_agrees']}"
-            )
-    print(f"report written to {args.output}")
-    ok = report["deltas_identical"] and report["greedy_traces_agree"]
+    for name, cell in report["cells"].items():
+        print(
+            f"  {name:>20}: delta p50 {cell['us']:9.1f} us "
+            f"(ceiling {cell['ceiling_us']})  rebuild {cell['rebuild_us']:10.1f} us  "
+            f"reenum={cell['targets_reenumerated']} "
+            f"identical={cell['identical']} trace={cell['greedy_trace_agrees']}"
+        )
+    print(f"identity: {report['identity']}; report written to {args.output}")
+    ok = all(report["identity"].values())
     if not ok:
         print("ERROR: delta application disagrees with a rebuild — see the report", file=sys.stderr)
     return 0 if ok else 1

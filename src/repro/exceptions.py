@@ -46,10 +46,6 @@ class GraphGenerationError(GraphError, ValueError):
     """A synthetic-graph generator was called with invalid parameters."""
 
 
-class AssemblyModeError(GraphError, ValueError):
-    """An unknown CSR assembly mode was requested for ``IndexedGraph``."""
-
-
 class MotifError(ReproError):
     """Base class for motif / target-subgraph errors."""
 

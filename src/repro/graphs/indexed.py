@@ -27,9 +27,8 @@ sorting edges by their (head id, tail id) pairs with ``np.lexsort``
 reproduces the ``edge_sort_key`` order exactly, and the whole CSR adjacency
 falls out of one more lexsort over the doubled endpoint arrays — no
 per-node neighbor sort, no per-position dict lookup.  The seed's pure-Python
-loop is retained behind ``assembly="python"`` as the executable reference
-(``tests/graphs/test_indexed.py`` pins the two byte-identical; the
-``bench_index_build`` benchmark measures the gap).
+loop lives on in ``tests/graphs/test_indexed.py`` as the reference the
+vectorised assembly is pinned to, byte for byte.
 """
 
 from __future__ import annotations
@@ -40,16 +39,13 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import AssemblyModeError, EdgeNotFoundError, NodeNotFoundError
-from repro.graphs.graph import Edge, Graph, Node, canonical_edge, edge_sort_key
+from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
+from repro.graphs.graph import Edge, Graph, Node, canonical_edge
 
 __all__ = ["IndexedGraph"]
 
 #: numpy dtype matching ``array("l")`` (the flat-array storage everywhere).
 NP_LONG = np.dtype("l")
-
-#: Recognised ``assembly`` arguments (numpy = vectorised, python = seed loop).
-ASSEMBLY_MODES = ("numpy", "python")
 
 
 def _as_long_array(values: np.ndarray) -> array:
@@ -95,11 +91,6 @@ class IndexedGraph:
     graph:
         The graph to snapshot.  Node and edge identities are frozen at
         construction time.
-    assembly:
-        ``"numpy"`` (default) builds the edge order and CSR adjacency with
-        vectorised sorts; ``"python"`` runs the seed's element-wise loops.
-        Both produce byte-identical arrays — the flag exists for the
-        old-vs-new build benchmark and the differential tests.
     """
 
     __slots__ = (
@@ -113,27 +104,18 @@ class IndexedGraph:
         # snapshot restores defer the edge-tuple table: endpoint-id pairs
         # (an (2m,) ndarray) until the first edge-object lookup needs them
         "_lazy_edge_ids",
-        # flat (2m,) endpoint-id pairs in edge-id order, kept by every
-        # assembly path so _endpoint_id_pairs never loops over edge tuples
+        # flat (2m,) endpoint-id pairs in edge-id order
         "_pair_ids",
     )
 
-    def __init__(self, graph: Graph, assembly: str = "numpy") -> None:
-        if assembly not in ASSEMBLY_MODES:
-            raise AssemblyModeError(
-                f"assembly must be one of {ASSEMBLY_MODES}, got {assembly!r}"
-            )
+    def __init__(self, graph: Graph) -> None:
         # -- node ids: deterministic str order --------------------------------
         self._nodes: Tuple[Node, ...] = tuple(sorted(graph.nodes(), key=str))
         self._node_id: Dict[Node, int] = {
             node: index for index, node in enumerate(self._nodes)
         }
         self._lazy_edge_ids: Optional[np.ndarray] = None
-        self._pair_ids: Optional[array] = None
-        if assembly == "python":
-            self._assemble_python(graph)
-        else:
-            self._assemble_numpy(graph)
+        self._assemble(graph)
 
     @classmethod
     def _restore(
@@ -177,21 +159,11 @@ class IndexedGraph:
         """Return the ``(m, 2)`` endpoint-id pairs, one row per edge id.
 
         Rows are in edge-id order with each pair in canonical tuple order —
-        exactly the layout a snapshot stores.  Every assembly path keeps the
-        flat pair array (``_pair_ids``), so this is a zero-copy reshape; the
-        slow tuple-table walk remains only for the seed's python assembly,
-        which caches its result on first use.
+        exactly the layout a snapshot stores.  A build, a restore and a
+        splice all keep the flat pair array (``_pair_ids``), so this is a
+        zero-copy reshape.
         """
-        if self._pair_ids is not None:
-            return np.frombuffer(self._pair_ids, dtype=NP_LONG).reshape(-1, 2)
-        node_id = self._node_id
-        flat = array("l")
-        append = flat.append
-        for u, v in self._edges:
-            append(node_id[u])
-            append(node_id[v])
-        self._pair_ids = flat
-        return np.frombuffer(flat, dtype=NP_LONG).reshape(-1, 2)
+        return np.frombuffer(self._pair_ids, dtype=NP_LONG).reshape(-1, 2)
 
     def _apply_edge_delta(
         self,
@@ -346,7 +318,7 @@ class IndexedGraph:
         self._edge_id = {edge: index for index, edge in enumerate(self._edges)}
         self._lazy_edge_ids = None
 
-    def _assemble_numpy(self, graph: Graph) -> None:
+    def _assemble(self, graph: Graph) -> None:
         """Vectorised edge ordering + CSR assembly.
 
         Node ids are assigned in ``str`` order, so mapping nodes to ids is
@@ -399,30 +371,6 @@ class IndexedGraph:
         self._indptr = _as_long_array(indptr)
         self._neighbors = _as_long_array(dst[csr_order])
         self._incident_edges = _as_long_array(eid[csr_order])
-
-    def _assemble_python(self, graph: Graph) -> None:
-        """The seed's element-wise ordering + CSR loops (reference path)."""
-        self._edges = tuple(sorted(graph.edges(), key=edge_sort_key))
-        self._edge_id = {edge: index for index, edge in enumerate(self._edges)}
-
-        n = len(self._nodes)
-        indptr = array("l", [0] * (n + 1))
-        for i, node in enumerate(self._nodes):
-            indptr[i + 1] = indptr[i] + graph.degree(node)
-        neighbors = array("l", [0] * indptr[n])
-        incident = array("l", [0] * indptr[n])
-        cursor = array("l", indptr[:n])
-        for u_id, u in enumerate(self._nodes):
-            # neighbors in node-id order keeps the CSR rows deterministic
-            for v in sorted(graph.neighbors(u), key=str):
-                v_id = self._node_id[v]
-                position = cursor[u_id]
-                neighbors[position] = v_id
-                incident[position] = self._edge_id[canonical_edge(u, v)]
-                cursor[u_id] = position + 1
-        self._indptr = indptr
-        self._neighbors = neighbors
-        self._incident_edges = incident
 
     # ------------------------------------------------------------------
     # sizes

@@ -54,11 +54,10 @@ walk the CSR in C, in the Python walks' order, and passes 2-3 are one
 counting sort plus one run-length pass.  Without it (or under
 ``REPRO_NATIVE=0``) the Python walks and the numpy counting sorts
 (``np.argsort``/``np.bincount``/``np.cumsum``) do the same work; other
-motifs always walk in Python.  The seed's element-wise loops are retained
-behind ``assembly="python"`` as the executable reference — every path
-produces byte-identical arrays (pinned by
-``tests/property/test_index_build_equivalence.py`` and
-``tests/property/test_native_index_differential.py``).
+motifs always walk in Python.  Every path produces byte-identical arrays,
+pinned by ``tests/property/test_native_index_differential.py`` and by
+``tests/property/test_index_build_equivalence.py``, which keeps the seed's
+element-wise passes 2-3 as the reference.
 
 The differential tests in ``tests/property/test_kernel_differential.py``
 assert that the kernel and a from-scratch recount of the graph agree on
@@ -79,7 +78,7 @@ import numpy as np
 from repro._native import load_kernel
 from repro.exceptions import MotifError
 from repro.graphs.graph import Edge, Graph, canonical_edge, edge_sort_key
-from repro.graphs.indexed import ASSEMBLY_MODES, NP_LONG, IndexedGraph
+from repro.graphs.indexed import NP_LONG, IndexedGraph
 from repro.motifs.base import MotifInstance, MotifPattern, coerce_motif
 from repro.motifs.rectangle import RectangleMotif
 from repro.motifs.rectri import RecTriMotif
@@ -258,12 +257,6 @@ class TargetSubgraphIndex:
         The hidden target links.
     motif:
         The subgraph pattern (name or :class:`MotifPattern`).
-    assembly:
-        ``"numpy"`` (default) walks and assembles in the native kernel when
-        it is loaded, else with the Python walks and vectorised numpy
-        counting sorts; ``"python"`` runs the seed's Python walks and
-        element-wise loops.  Byte-identical outputs; the flag exists for the
-        build benchmark and the differential tests.
 
     Notes
     -----
@@ -280,12 +273,7 @@ class TargetSubgraphIndex:
         graph: Graph,
         targets: Sequence[Edge],
         motif: Union[str, MotifPattern],
-        assembly: str = "numpy",
     ) -> None:
-        if assembly not in ASSEMBLY_MODES:
-            raise MotifError(
-                f"assembly must be one of {ASSEMBLY_MODES}, got {assembly!r}"
-            )
         self._motif = coerce_motif(motif)
         self._targets: Tuple[Edge, ...] = tuple(
             canonical_edge(*target) for target in targets
@@ -297,7 +285,7 @@ class TargetSubgraphIndex:
                     "remove all targets (phase 1) before building the index"
                 )
 
-        indexed = IndexedGraph(graph, assembly=assembly)
+        indexed = IndexedGraph(graph)
         self._indexed = indexed
         self._target_index: Dict[Edge, int] = {
             target: position for position, target in enumerate(self._targets)
@@ -311,11 +299,7 @@ class TargetSubgraphIndex:
         # Only flat buffers are collected (membership edge ids, per-instance
         # arities, per-target counts).
         # ------------------------------------------------------------------
-        # the seed path (assembly="python") walks in Python too
-        enumerate_buffers = (
-            _enumerate_buffers_python if assembly == "python" else _enumerate_buffers
-        )
-        edge_buffer, arity_buffer, counts = enumerate_buffers(
+        edge_buffer, arity_buffer, counts = _enumerate_buffers(
             indexed, graph, self._motif, self._targets
         )
 
@@ -327,10 +311,7 @@ class TargetSubgraphIndex:
             cursor += count
         self._target_ranges: Tuple[Tuple[int, int], ...] = tuple(ranges)
 
-        if assembly == "python":
-            self._assemble_python(edge_buffer, arity_buffer, counts)
-        else:
-            self._assemble(edge_buffer, arity_buffer, counts)
+        self._assemble(edge_buffer, arity_buffer, counts)
         self._finalize_derived()
 
     def _finalize_derived(self) -> None:
@@ -644,76 +625,6 @@ class TargetSubgraphIndex:
         inst_slot = np.empty(n_memberships, dtype=NP_LONG)
         inst_slot[order] = slots
         self._inst_slot = inst_slot
-
-    def _assemble_python(
-        self, edge_buffer: array, arity_buffer: array, counts: List[int]
-    ) -> None:
-        """The seed's element-wise passes 2-3 (reference path).
-
-        Same buffers in, byte-identical arrays out — kept executable for the
-        old-vs-new build benchmark and the assembly differential tests.
-        """
-        m = self._indexed.number_of_edges()
-        inst_indptr: List[int] = [0]
-        for arity in arity_buffer:
-            inst_indptr.append(inst_indptr[-1] + arity)
-        inst_target_idx: List[int] = []
-        for position, count in enumerate(counts):
-            inst_target_idx.extend([position] * count)
-        self._inst_indptr = np.asarray(inst_indptr, dtype=NP_LONG)
-        self._inst_edge_ids = np.array(edge_buffer, dtype=NP_LONG)
-        self._inst_target_idx = np.asarray(inst_target_idx, dtype=NP_LONG)
-
-        # pass 2: invert into the edge id -> instances CSR
-        csr_counts = array("l", [0] * (m + 1))
-        for edge_id in edge_buffer:
-            csr_counts[edge_id + 1] += 1
-        for edge_id in range(m):
-            csr_counts[edge_id + 1] += csr_counts[edge_id]
-        edge_indptr = csr_counts  # now the CSR offsets
-        edge_inst_ids = array("l", [0] * len(edge_buffer))
-        cursor = array("l", edge_indptr[:m])
-        number_of_instances = len(inst_target_idx)
-        for instance_id in range(number_of_instances):
-            for position in range(inst_indptr[instance_id], inst_indptr[instance_id + 1]):
-                edge_id = edge_buffer[position]
-                edge_inst_ids[cursor[edge_id]] = instance_id
-                cursor[edge_id] += 1
-        self._edge_indptr = np.array(edge_indptr, dtype=NP_LONG)
-        self._edge_inst_ids = np.array(edge_inst_ids, dtype=NP_LONG)
-        self._initial_gain = np.diff(self._edge_indptr)
-
-        # pass 3: per-(edge, target) counter matrix, CSR over edge ids.
-        # The row of an edge lists the targets whose instances contain it
-        # (tidx ascending: each edge's instance list is ascending and
-        # instance ids are contiguous per target) with the initial counts.
-        et_indptr = array("l", [0] * (m + 1))
-        et_tidx: List[int] = []
-        et_count: List[int] = []
-        slot_of: Dict[Tuple[int, int], int] = {}
-        for edge_id in range(m):
-            previous_tidx = -1
-            for position in range(edge_indptr[edge_id], edge_indptr[edge_id + 1]):
-                tidx = inst_target_idx[edge_inst_ids[position]]
-                if tidx != previous_tidx:
-                    slot_of[(edge_id, tidx)] = len(et_tidx)
-                    et_tidx.append(tidx)
-                    et_count.append(0)
-                    previous_tidx = tidx
-                et_count[-1] += 1
-            et_indptr[edge_id + 1] = len(et_tidx)
-        self._et_indptr = np.array(et_indptr, dtype=NP_LONG)
-        self._et_tidx = np.asarray(et_tidx, dtype=NP_LONG)
-        self._et_initial_count = np.asarray(et_count, dtype=NP_LONG)
-        # membership position -> matrix slot of (sibling edge, instance's
-        # target), so the kill walk decrements the matrix entry with one
-        # array read instead of a hash lookup
-        inst_slot = array("l", [0] * len(edge_buffer))
-        for instance_id in range(number_of_instances):
-            tidx = inst_target_idx[instance_id]
-            for position in range(inst_indptr[instance_id], inst_indptr[instance_id + 1]):
-                inst_slot[position] = slot_of[(edge_buffer[position], tidx)]
-        self._inst_slot = np.array(inst_slot, dtype=NP_LONG)
 
     def __getstate__(self) -> Dict[str, object]:
         # the lazy edge -> instances dict can dwarf the flat arrays; rebuild

@@ -1,12 +1,13 @@
 """Tests for the dense integer-indexed graph snapshot."""
 
+from array import array
+
 import pytest
 
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
 from repro.graphs.generators import erdos_renyi_graph
-from repro.graphs.graph import Graph, canonical_edge
+from repro.graphs.graph import Graph, canonical_edge, edge_sort_key
 from repro.graphs.indexed import IndexedGraph
-from repro.exceptions import AssemblyModeError
 
 
 @pytest.fixture
@@ -76,18 +77,48 @@ class TestCSR:
                 )
 
 
+def seed_assembly(graph):
+    """The seed's element-wise ordering + CSR loops: the reference the
+    vectorised assembly is pinned to.  Returns
+    ``(nodes, edges, indptr, neighbors, incident_edges)``."""
+    nodes = tuple(sorted(graph.nodes(), key=str))
+    node_id = {node: index for index, node in enumerate(nodes)}
+    edges = tuple(sorted(graph.edges(), key=edge_sort_key))
+    edge_id = {edge: index for index, edge in enumerate(edges)}
+
+    n = len(nodes)
+    indptr = array("l", [0] * (n + 1))
+    for i, node in enumerate(nodes):
+        indptr[i + 1] = indptr[i] + graph.degree(node)
+    neighbors = array("l", [0] * indptr[n])
+    incident = array("l", [0] * indptr[n])
+    cursor = array("l", indptr[:n])
+    for u_id, u in enumerate(nodes):
+        # neighbors in node-id order keeps the CSR rows deterministic
+        for v in sorted(graph.neighbors(u), key=str):
+            v_id = node_id[v]
+            position = cursor[u_id]
+            neighbors[position] = v_id
+            incident[position] = edge_id[canonical_edge(u, v)]
+            cursor[u_id] = position + 1
+    return nodes, edges, indptr, neighbors, incident
+
+
 class TestAssemblyModes:
-    """The vectorised and the seed (python) CSR assembly are byte-identical."""
+    """The vectorised CSR assembly is byte-identical to the seed's loops."""
 
     @staticmethod
     def _assert_identical(graph):
-        vectorized = IndexedGraph(graph, assembly="numpy")
-        reference = IndexedGraph(graph, assembly="python")
-        assert vectorized.nodes == reference.nodes
-        assert vectorized.edges == reference.edges
-        assert vectorized._indptr == reference._indptr
-        assert vectorized._neighbors == reference._neighbors
-        assert vectorized._incident_edges == reference._incident_edges
+        indexed = IndexedGraph(graph)
+        nodes, edges, indptr, neighbors, incident = seed_assembly(graph)
+        assert indexed.nodes == nodes
+        assert indexed.edges == edges
+        assert indexed._indptr == indptr
+        assert indexed._neighbors == neighbors
+        assert indexed._incident_edges == incident
+        assert indexed._endpoint_id_pairs().reshape(-1).tolist() == [
+            indexed.node_id(x) for edge in edges for x in edge
+        ]
 
     def test_small_graph(self, graph):
         self._assert_identical(graph)
@@ -108,10 +139,6 @@ class TestAssemblyModes:
     def test_empty_and_edgeless_graphs(self):
         self._assert_identical(Graph())
         self._assert_identical(Graph(nodes=[3, 1, 2]))
-
-    def test_unknown_assembly_rejected(self, graph):
-        with pytest.raises(AssemblyModeError):
-            IndexedGraph(graph, assembly="fortran")
 
 
 class TestRoundTrip:

@@ -1,23 +1,31 @@
 """Property tests: every index-construction strategy builds the same index.
 
-The vectorised assembly (``assembly="numpy"``) and the seed's element-wise
-loops (``assembly="python"``) must produce **bit-identical** flat arrays —
-and therefore identical initial similarities and candidate orders — on
-every instance.  The edge-id order is load-bearing for the
-greedy tie-breaking, so these tests compare the arrays by bytes, not just by
-value.
+The library's build (native or numpy passes 2-3) and the seed's
+element-wise loops (:func:`seed_index`, kept here as the reference) must
+produce **bit-identical** flat arrays — and therefore identical initial
+similarities and candidate orders — on every instance.  The edge-id order
+is load-bearing for the greedy tie-breaking, so these tests compare the
+arrays by bytes, not just by value.
 """
 
 import random
+from array import array
+from typing import Dict, List, Tuple
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engines import make_engine
 from repro.core.model import TPPProblem
 from repro.graphs.graph import Graph, canonical_edge
-from repro.motifs.base import MotifPattern
-from repro.motifs.enumeration import INDEX_ARRAY_FIELDS, TargetSubgraphIndex
+from repro.graphs.indexed import NP_LONG, IndexedGraph
+from repro.motifs.base import MotifPattern, coerce_motif
+from repro.motifs.enumeration import (
+    INDEX_ARRAY_FIELDS,
+    TargetSubgraphIndex,
+    _enumerate_buffers_python,
+)
 
 MOTIFS = ("triangle", "rectangle", "rectri")
 
@@ -47,6 +55,84 @@ def phase1(graph, targets):
     return graph.without_edges(targets)
 
 
+def seed_assembly(
+    m: int, edge_buffer: array, arity_buffer: array, counts: List[int]
+) -> Dict[str, np.ndarray]:
+    """The seed's element-wise passes 2-3 over pass-1 buffers, returning
+    every :data:`INDEX_ARRAY_FIELDS` array."""
+    arrays: Dict[str, np.ndarray] = {}
+    inst_indptr: List[int] = [0]
+    for arity in arity_buffer:
+        inst_indptr.append(inst_indptr[-1] + arity)
+    inst_target_idx: List[int] = []
+    for position, count in enumerate(counts):
+        inst_target_idx.extend([position] * count)
+    arrays["_inst_indptr"] = np.asarray(inst_indptr, dtype=NP_LONG)
+    arrays["_inst_edge_ids"] = np.array(edge_buffer, dtype=NP_LONG)
+    arrays["_inst_target_idx"] = np.asarray(inst_target_idx, dtype=NP_LONG)
+
+    # pass 2: invert into the edge id -> instances CSR
+    csr_counts = array("l", [0] * (m + 1))
+    for edge_id in edge_buffer:
+        csr_counts[edge_id + 1] += 1
+    for edge_id in range(m):
+        csr_counts[edge_id + 1] += csr_counts[edge_id]
+    edge_indptr = csr_counts  # now the CSR offsets
+    edge_inst_ids = array("l", [0] * len(edge_buffer))
+    cursor = array("l", edge_indptr[:m])
+    number_of_instances = len(inst_target_idx)
+    for instance_id in range(number_of_instances):
+        for position in range(inst_indptr[instance_id], inst_indptr[instance_id + 1]):
+            edge_id = edge_buffer[position]
+            edge_inst_ids[cursor[edge_id]] = instance_id
+            cursor[edge_id] += 1
+    arrays["_edge_indptr"] = np.array(edge_indptr, dtype=NP_LONG)
+    arrays["_edge_inst_ids"] = np.array(edge_inst_ids, dtype=NP_LONG)
+    arrays["_initial_gain"] = np.diff(arrays["_edge_indptr"])
+
+    # pass 3: per-(edge, target) counter matrix, CSR over edge ids.
+    # The row of an edge lists the targets whose instances contain it
+    # (tidx ascending: each edge's instance list is ascending and
+    # instance ids are contiguous per target) with the initial counts.
+    et_indptr = array("l", [0] * (m + 1))
+    et_tidx: List[int] = []
+    et_count: List[int] = []
+    slot_of: Dict[Tuple[int, int], int] = {}
+    for edge_id in range(m):
+        previous_tidx = -1
+        for position in range(edge_indptr[edge_id], edge_indptr[edge_id + 1]):
+            tidx = inst_target_idx[edge_inst_ids[position]]
+            if tidx != previous_tidx:
+                slot_of[(edge_id, tidx)] = len(et_tidx)
+                et_tidx.append(tidx)
+                et_count.append(0)
+                previous_tidx = tidx
+            et_count[-1] += 1
+        et_indptr[edge_id + 1] = len(et_tidx)
+    arrays["_et_indptr"] = np.array(et_indptr, dtype=NP_LONG)
+    arrays["_et_tidx"] = np.asarray(et_tidx, dtype=NP_LONG)
+    arrays["_et_initial_count"] = np.asarray(et_count, dtype=NP_LONG)
+    # membership position -> matrix slot of (sibling edge, instance's
+    # target), so the kill walk decrements the matrix entry with one
+    # array read instead of a hash lookup
+    inst_slot = array("l", [0] * len(edge_buffer))
+    for instance_id in range(number_of_instances):
+        tidx = inst_target_idx[instance_id]
+        for position in range(inst_indptr[instance_id], inst_indptr[instance_id + 1]):
+            inst_slot[position] = slot_of[(edge_buffer[position], tidx)]
+    arrays["_inst_slot"] = np.array(inst_slot, dtype=NP_LONG)
+    return arrays
+
+
+def seed_index(graph, targets, motif) -> TargetSubgraphIndex:
+    """The seed's build: the Python walks, then :func:`seed_assembly`."""
+    motif = coerce_motif(motif)
+    indexed = IndexedGraph(graph)
+    buffers = _enumerate_buffers_python(indexed, graph, motif, targets)
+    arrays = seed_assembly(indexed.number_of_edges(), *buffers)
+    return TargetSubgraphIndex._restore(indexed, targets, motif, arrays)
+
+
 @given(
     st.integers(min_value=0, max_value=10_000),
     st.integers(min_value=0, max_value=len(MOTIFS) - 1),
@@ -59,7 +145,7 @@ def test_numpy_assembly_matches_seed_assembly(seed, motif_index):
     motif = MOTIFS[motif_index]
     removed = phase1(graph, targets)
     vectorized = TargetSubgraphIndex(removed, targets, motif)
-    reference = TargetSubgraphIndex(removed, targets, motif, assembly="python")
+    reference = seed_index(removed, targets, motif)
     assert fingerprint(vectorized) == fingerprint(reference)
     for target in targets:
         assert vectorized.initial_similarity(target) == reference.initial_similarity(
@@ -116,9 +202,7 @@ def test_zero_arity_instances_survive_the_vectorized_kernel():
     graph, targets = random_instance(7)
     removed = phase1(graph, targets)
     index = TargetSubgraphIndex(removed, targets, EmptyInstanceTriangle())
-    reference = TargetSubgraphIndex(
-        removed, targets, EmptyInstanceTriangle(), assembly="python"
-    )
+    reference = seed_index(removed, targets, EmptyInstanceTriangle())
     assert fingerprint(index) == fingerprint(reference)
     state = index.new_state()
     recount = make_engine(

@@ -6,6 +6,7 @@ use — so request framing, routing, backpressure, coalescing and the
 replica cold-start all run end-to-end over actual sockets.
 """
 
+import itertools
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -228,36 +229,47 @@ class TestProtocolEdgeCases:
 
 
 class TestCoalescing:
-    def test_permuted_subset_duplicates_share_one_solve(self, served, problem):
+    @pytest.mark.parametrize("burst", [2, 12])
+    def test_permuted_subset_duplicates_share_one_solve(self, served, problem, burst):
         server, client = served
         subset = tuple(problem.targets[:3])
-        permuted = (subset[2], subset[0], subset[1])
-        solves_before = server.stats()["solves_executed"]
+        orders = list(itertools.permutations(subset))
+        before = server.stats()
         with GateMethod("Gated-Coalesce") as gate:
-            with ThreadPoolExecutor(max_workers=2) as pool:
+            with ThreadPoolExecutor(max_workers=burst) as pool:
                 first = pool.submit(
                     client.solve_payload,
                     ProtectionRequest("Gated-Coalesce", 4, targets=subset),
                 )
                 assert gate.started.wait(timeout=30.0)
-                second = pool.submit(
-                    client.solve_payload,
-                    ProtectionRequest("Gated-Coalesce", 4, targets=permuted),
-                )
-                # the joiner is counted before the shared solve finishes
+                # the same subset in other orders joins the gated solve
+                joiners = [
+                    pool.submit(
+                        client.solve_payload,
+                        ProtectionRequest(
+                            "Gated-Coalesce", 4, targets=orders[i % len(orders)]
+                        ),
+                    )
+                    for i in range(1, burst)
+                ]
+                # the joiners are counted before the shared solve finishes
                 deadline = threading.Event()
-                for _ in range(200):
-                    if server.stats()["coalesced_hits"] >= 1:
+                for _ in range(500):
+                    hits = server.stats()["coalesced_hits"] - before["coalesced_hits"]
+                    if hits >= burst - 1:
                         break
                     deadline.wait(0.02)
-                assert server.stats()["coalesced_hits"] >= 1
                 gate.release.set()
-                payloads = [first.result(timeout=60.0), second.result(timeout=60.0)]
-        # one initiator, one coalesced joiner — otherwise identical payloads
-        flags = sorted(p["extra"]["server"].pop("coalesced") for p in payloads)
-        assert flags == [False, True]
-        assert payloads[0] == payloads[1]
-        assert server.stats()["solves_executed"] == solves_before + 1
+                payloads = [
+                    future.result(timeout=60.0) for future in [first] + joiners
+                ]
+        after = server.stats()
+        assert after["coalesced_hits"] - before["coalesced_hits"] == burst - 1
+        assert after["solves_executed"] == before["solves_executed"] + 1
+        # one initiator, burst - 1 coalesced joiners — otherwise identical
+        flags = [p["extra"]["server"].pop("coalesced") for p in payloads]
+        assert flags == [False] + [True] * (burst - 1)
+        assert all(payload == payloads[0] for payload in payloads)
 
 
 class TestStats:

@@ -10,14 +10,15 @@ whole library must lint clean — that last test is the one that keeps
 from __future__ import annotations
 
 import json
+import shutil
 import textwrap
 from pathlib import Path
 
 import pytest
 
+import harness
 from tools.reprolint import ALL_RULES, RULES_BY_FAMILY, lint_paths, lint_source
 from tools.reprolint.driver import build_parser, main
-from tools.reprolint.rules.bench_schema import extract_gate_registry
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -423,93 +424,62 @@ class TestExceptionTaxonomyRule:
 # ----------------------------------------------------------------------
 # R6 — bench schema (project-level, driven against a fake repo tree)
 # ----------------------------------------------------------------------
-FAKE_GATE = '''
-def _check_flags(fresh, committed, flags):
-    for flag in flags:
-        assert fresh.get(flag) == committed.get(flag)
-
-
-def compare_snapshot(fresh, committed):
-    _check_flags(fresh, committed, ("snapshots_identical",))
-    return committed.get("cold_start_speedup")
-
-
-def compare(fresh, committed):
-    if committed.get("kind") == "snapshot":
-        return compare_snapshot(fresh, committed)
-    return fresh.get("sgb_speedup")
-'''
-
-
 def make_fake_project(tmp_path: Path) -> Path:
     root = tmp_path / "proj"
     (root / "benchmarks").mkdir(parents=True)
     (root / "pyproject.toml").write_text("[project]\nname='x'\n")
-    (root / "benchmarks" / "check_bench_regression.py").write_text(FAKE_GATE)
+    shutil.copy(REPO_ROOT / "benchmarks" / "harness.py", root / "benchmarks")
     return root
+
+
+def valid_report(**changes) -> dict:
+    report = {
+        "kind": "snapshot",
+        "config": {"instance": {"nodes": 10}, "harness": {"repeats": 5}},
+        "native_available": True,
+        "identity": {"snapshots_identical": True},
+        "cells": {"triangle load": {"us": 120.5, "ceiling_us": 300}},
+    }
+    report.update(changes)
+    return report
 
 
 class TestBenchSchemaRule:
     def run_rule(self, root: Path):
         return RULES_BY_FAMILY["R6"].check_project(root)
 
-    def test_registry_extraction(self, tmp_path):
-        root = make_fake_project(tmp_path)
-        registry = extract_gate_registry(
-            root / "benchmarks" / "check_bench_regression.py"
-        )
-        assert registry.top_level["snapshot"] == {
-            "snapshots_identical",
-            "cold_start_speedup",
-        }
-        assert registry.top_level["engine_kernel"] == {"sgb_speedup"}
+    def write_report(self, root: Path, report) -> None:
+        (root / "BENCH_demo.json").write_text(json.dumps(report))
 
     def test_complete_report_clean(self, tmp_path):
         root = make_fake_project(tmp_path)
-        (root / "BENCH_demo.json").write_text(
-            json.dumps(
-                {
-                    "kind": "snapshot",
-                    "snapshots_identical": True,
-                    "cold_start_speedup": 4.2,
-                }
-            )
-        )
+        self.write_report(root, valid_report())
         assert self.run_rule(root) == []
 
     def test_missing_gate_key_flagged(self, tmp_path):
         root = make_fake_project(tmp_path)
-        (root / "BENCH_demo.json").write_text(
-            json.dumps({"kind": "snapshot", "snapshots_identical": True})
-        )
+        report = valid_report()
+        del report["identity"]
+        self.write_report(root, report)
         findings = self.run_rule(root)
         assert codes(findings) == ["R6-bench-schema"]
-        assert "cold_start_speedup" in findings[0].message
+        assert "identity" in findings[0].message
 
     def test_unknown_kind_flagged(self, tmp_path):
         root = make_fake_project(tmp_path)
-        (root / "BENCH_demo.json").write_text(json.dumps({"kind": "mystery"}))
+        self.write_report(root, valid_report(kind="mystery"))
         findings = self.run_rule(root)
         assert codes(findings) == ["R6-bench-schema"]
         assert "mystery" in findings[0].message
 
-    def test_emitting_script_must_spell_gate_keys(self, tmp_path):
+    def test_cell_without_ceiling_flagged(self, tmp_path):
         root = make_fake_project(tmp_path)
-        (root / "BENCH_demo.json").write_text(
-            json.dumps(
-                {
-                    "kind": "snapshot",
-                    "snapshots_identical": True,
-                    "cold_start_speedup": 4.2,
-                }
-            )
-        )
-        (root / "benchmarks" / "bench_demo.py").write_text(
-            'REPORT = {"snapshots_identical": True}\n'
+        self.write_report(
+            root, valid_report(cells={"triangle load": {"us": 120.5}})
         )
         findings = self.run_rule(root)
         assert codes(findings) == ["R6-bench-schema"]
-        assert "cold_start_speedup" in findings[0].message
+        assert "ceiling_us" in findings[0].message
 
     def test_unreadable_report_flagged(self, tmp_path):
         root = make_fake_project(tmp_path)
@@ -518,24 +488,20 @@ class TestBenchSchemaRule:
         assert codes(findings) == ["R6-bench-schema"]
 
     def test_real_gate_registry_has_all_kinds(self):
-        registry = extract_gate_registry(
-            REPO_ROOT / "benchmarks" / "check_bench_regression.py"
-        )
-        assert {
-            "service_throughput",
-            "index_build",
-            "snapshot",
-            "index_update",
+        assert set(harness.KINDS) == {
             "engine_kernel",
-        } <= registry.kinds
-        # the index-update gate reads absolute per-cell timings and the two
-        # identity flags; the apply-vs-rebuild speedup gate is gone
-        assert {"motifs", "deltas_identical", "greedy_traces_agree"} <= (
-            registry.top_level["index_update"]
+            "index_build",
+            "index_update",
+            "snapshot",
+        }
+        # one committed report per kind, each clean under the schema
+        reports = sorted(REPO_ROOT.glob("BENCH_*.json"))
+        kinds = [json.loads(path.read_text())["kind"] for path in reports]
+        assert sorted(kinds) == sorted(harness.KINDS)
+        assert [path.name for path in reports] == sorted(
+            f"BENCH_{kind}.json" for kind in kinds
         )
-        assert not {"min_small_delta_speedup", "delta_speedup_met"} & (
-            registry.top_level["index_update"]
-        )
+        assert self.run_rule(REPO_ROOT) == []
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,8 @@ time instead of breaking bit-identity at runtime:
   under ``with self.LOCK:``.
 * **R5 exception-taxonomy** — typed ``repro.exceptions``, not bare
   ``ValueError``.
-* **R6 bench-schema** — committed BENCH reports / emitting scripts carry
-  every key the CI regression gate reads.
+* **R6 bench-schema** — committed BENCH reports follow the benchmark
+  harness's report schema, which the CI regression gate reads.
 * **R7 native-boundary** — ``ctypes`` only inside ``repro._native``,
   every bound symbol declared (``argtypes`` + ``restype``), native calls
   behind the kernel-dispatch guard.

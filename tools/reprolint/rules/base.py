@@ -3,7 +3,7 @@
 A :class:`Rule` checks one module at a time from its AST; a
 :class:`ProjectRule` additionally (or instead) checks repository-level
 artifacts once per run — R6 validates committed benchmark reports against
-the regression-gate registry, which no single module contains.
+the benchmark harness's report schema, which no library module contains.
 """
 
 from __future__ import annotations
