@@ -7,7 +7,13 @@ for every update re-enumerates every target.  ``apply_delta``
 the changed edges.  This benchmark measures, per built-in motif and per
 delta size (1, 10 and 100 edges, half deletions / half insertions), the
 absolute microseconds of ``apply_delta``: the lowest, over five rounds that
-sweep every cell in turn, of a round's p50 of ``--repeats`` applications::
+sweep every cell in turn, of a round's p50 of ``--repeats`` applications.
+Random deltas rarely come near a target, so each motif also gets a
+*near-target* cell shaped like the serving benchmark's live-updates delta:
+ten edges, half deletions and half insertions, half of them at a target
+endpoint.  Those cells time the re-enumeration walk that the random ones
+skip, and the ``near_target_deltas_change_targets`` flag fails unless each
+of them re-enumerates and changes at least one target::
 
     us           index.apply_delta(delta)                                  (gated)
     rebuild_us   TargetSubgraphIndex(updated_phase1_graph, targets, motif) (context)
@@ -19,10 +25,11 @@ rebuilt-from-scratch session produce identical protector traces — the
 benchmark doubles as a differential test and exits non-zero on any
 mismatch.
 
-Each cell ``"<motif> x<size> delta"`` carries its ``us`` next to a
-``ceiling_us``: the committed report's ceilings are what
-``check_bench_regression.py`` gates a fresh run on, together with the two
-identity flags (``deltas_identical``, ``greedy_traces_agree``).  The
+Each cell ``"<motif> x<size> delta"`` (and ``"<motif> near-target x10
+delta"``) carries its ``us`` next to a ``ceiling_us``: the committed
+report's ceilings are what ``check_bench_regression.py`` gates a fresh run
+on, together with the three identity flags (``deltas_identical``,
+``greedy_traces_agree``, ``near_target_deltas_change_targets``).  The
 rebuild is timed once, for context only.  ``harness.py`` has the report
 schema.
 
@@ -57,14 +64,18 @@ from repro.service import ProtectionRequest, ProtectionService  # noqa: E402
 #: Timing rounds per cell; a cell reports its lowest round p50.
 DELTA_ROUNDS = 5
 
+#: Edges in a near-target delta (half deletions, half insertions).
+NEAR_TARGET_EDGES = 10
+
 #: Ceilings (µs) on the p50 ``apply_delta`` time of each (motif, delta size)
-#: cell at the committed configuration: twice the maximum of five runs of
-#: unchanged code on a 2-CPU x86-64 box, rounded up to two significant
-#: figures (the spreads are recorded in CHANGES.md).
+#: cell at the committed configuration, ``"near"`` for the near-target
+#: cell: twice the maximum of five runs of unchanged code on a 2-CPU x86-64
+#: box, rounded up to two significant figures (the spreads are recorded in
+#: CHANGES.md).
 DELTA_CEILING_US = {
-    "triangle": {1: 9300, 10: 9700, 100: 17000},
-    "rectangle": {1: 15000, 10: 15000, 100: 23000},
-    "rectri": {1: 12000, 10: 12000, 100: 19000},
+    "triangle": {1: 6100, 10: 6500, 100: 11000, "near": 6900},
+    "rectangle": {1: 7700, 10: 8000, 100: 13000, "near": 8600},
+    "rectri": {1: 7000, 10: 7200, 100: 12000, "near": 7600},
 }
 
 
@@ -97,6 +108,46 @@ def _make_delta(phase1, targets, size: int, rng: random.Random) -> EdgeDelta:
     return EdgeDelta.from_edges(insert=insertions, delete=deletions)
 
 
+def _make_near_target_delta(phase1, targets, rng: random.Random) -> EdgeDelta:
+    """Build a delta like the serving benchmark's live-updates one: half
+    deletions, half insertions, and every other edge at a target endpoint
+    (the even positions of the whole edge sequence).  A deletion there
+    drops a random edge of the endpoint; an insertion there joins the
+    endpoint to a neighbour of the target's other endpoint, closing a
+    triangle on the target as a new link usually does, so every motif's
+    walk has new instances to find."""
+    size = NEAR_TARGET_EDGES
+    targets = sorted(canonical_edge(*target) for target in targets)
+    target_set = set(targets)
+    endpoints = sorted({x for target in targets for x in target})
+    nodes = sorted(phase1.nodes())
+    edges: List[tuple] = []
+    while len(edges) < size:
+        position = len(edges)
+        near = position % 2 == 0
+        if position < size // 2:
+            u = rng.choice(endpoints if near else nodes)
+            neighbours = sorted(phase1.neighbors(u))
+            if not neighbours:
+                continue
+            edge = canonical_edge(u, rng.choice(neighbours))
+        else:
+            if near:
+                u, v = rng.sample(rng.choice(targets), 2)
+                neighbours = sorted(phase1.neighbors(v))
+                if not neighbours:
+                    continue
+                w = rng.choice(neighbours)
+            else:
+                u, w = rng.choice(nodes), rng.choice(nodes)
+            if u == w or phase1.has_edge(u, w):
+                continue
+            edge = canonical_edge(u, w)
+        if edge not in target_set and edge not in edges:
+            edges.append(edge)
+    return EdgeDelta.from_edges(insert=edges[size // 2 :], delete=edges[: size // 2])
+
+
 def run(args: argparse.Namespace) -> dict:
     graph = powerlaw_cluster_graph(args.nodes, args.attach, 0.4, seed=args.seed)
     targets = [
@@ -112,6 +163,9 @@ def run(args: argparse.Namespace) -> dict:
             rng = random.Random(args.seed * 1_000 + size)
             delta = _make_delta(problem.phase1_graph, targets, size, rng)
             cells.append((motif, size, problem, index, delta))
+        rng = random.Random(f"{args.seed}/near-target")
+        delta = _make_near_target_delta(problem.phase1_graph, targets, rng)
+        cells.append((motif, "near", problem, index, delta))
 
     def timed(index, delta):
         return lambda: index.apply_delta(delta)
@@ -125,6 +179,7 @@ def run(args: argparse.Namespace) -> dict:
     report_cells = {}
     all_identical = True
     traces_agree = True
+    near_targets_changed = True
     for motif, size, problem, index, delta in cells:
         outcome = index.apply_delta(delta)
         # the updated phase-1 graph, built outside the timed rebuild
@@ -162,7 +217,18 @@ def run(args: argparse.Namespace) -> dict:
 
         all_identical = all_identical and identical
         traces_agree = traces_agree and trace_agrees
-        report_cells[f"{motif} x{size} delta"] = {
+        if size == "near":
+            near_targets_changed = (
+                near_targets_changed
+                and outcome.targets_reenumerated > 0
+                and len(outcome.changed_targets) > 0
+            )
+        name = (
+            f"{motif} near-target x{NEAR_TARGET_EDGES} delta"
+            if size == "near"
+            else f"{motif} x{size} delta"
+        )
+        report_cells[name] = {
             "us": harness.us(seconds[motif, size]),
             "ceiling_us": DELTA_CEILING_US.get(motif, {}).get(size),
             "inserts": len(delta.inserted),
@@ -185,6 +251,7 @@ def run(args: argparse.Namespace) -> dict:
             "targets": len(targets),
             "seed": args.seed,
             "delta_sizes": list(args.delta_sizes),
+            "near_target_edges": NEAR_TARGET_EDGES,
             "motifs": list(args.motifs),
         },
         harness={"repeats": args.repeats, "rounds": DELTA_ROUNDS},
@@ -192,6 +259,7 @@ def run(args: argparse.Namespace) -> dict:
         identity={
             "deltas_identical": all_identical,
             "greedy_traces_agree": traces_agree,
+            "near_target_deltas_change_targets": near_targets_changed,
         },
         cells=report_cells,
     )
@@ -239,7 +307,7 @@ def main(argv=None) -> int:
     )
     for name, cell in report["cells"].items():
         print(
-            f"  {name:>20}: delta p50 {cell['us']:9.1f} us "
+            f"  {name:>30}: delta p50 {cell['us']:9.1f} us "
             f"(ceiling {cell['ceiling_us']})  rebuild {cell['rebuild_us']:10.1f} us  "
             f"reenum={cell['targets_reenumerated']} "
             f"identical={cell['identical']} trace={cell['greedy_trace_agrees']}"

@@ -270,9 +270,18 @@ class NativeKernel:
         self.walk_motif = walk_motif
 
         assemble_index = lib.repro_assemble_index
-        assemble_index.argtypes = [_c_long] * 4 + [_c_void_p] * 11
+        assemble_index.argtypes = [_c_long] * 5 + [_c_void_p] * 14
         assemble_index.restype = _c_long
         self.assemble_index = assemble_index
+
+        splice_graph = lib.repro_splice_graph
+        splice_graph.argtypes = [_c_long] * 3 + [_c_void_p] * 6 + [
+            _c_long,
+            _c_void_p,
+            _c_long,
+        ] + [_c_void_p] * 6
+        splice_graph.restype = _c_long
+        self.splice_graph = splice_graph
 
 
 _LOAD_LOCK = threading.Lock()

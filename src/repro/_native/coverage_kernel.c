@@ -1,12 +1,13 @@
 /* Native coverage kernel: the hot loops of CoverageState, whole
  * SGB / CT / WT selections, and the index side of a build or reload
- * (the paper's motif walks and the instance-CSR assembly).
+ * (the paper's motif walks, the instance-CSR assembly and a delta's
+ * graph splice).
  *
- * This file is deliberately dependency-free C99 over the exact flat
- * buffers the Python kernel already owns (C `long` == numpy NP_LONG,
- * `unsigned char` == the uint8 alive bitmask), so the Python and native
- * paths share one memory layout and can be differential-tested for
- * bit-identical behaviour.
+ * This file is deliberately dependency-free C99 (libc's qsort aside)
+ * over the exact flat buffers the Python kernel already owns (C `long`
+ * == numpy NP_LONG, `unsigned char` == the uint8 alive bitmask), so the
+ * Python and native paths share one memory layout and can be
+ * differential-tested for bit-identical behaviour.
  *
  * Entry points (all take the state context `ctx` described below):
  *   repro_kill_instances     delete one edge, report per-target kills
@@ -25,8 +26,11 @@
  *   repro_walk_motif         triangle / rectangle / rectri instance rows
  *                            of a list of targets over the graph CSR
  *                            (no ctx)
- *   repro_assemble_index     the inverse CSR, counter matrix and slot
- *                            table of a TargetSubgraphIndex (no ctx)
+ *   repro_assemble_index     the inverse CSR, counter matrix, slot
+ *                            table, candidate ids and per-target entry
+ *                            offsets of a TargetSubgraphIndex (no ctx)
+ *   repro_splice_graph       a delta's IndexedGraph: edge-id map, pairs
+ *                            and CSR in one merge pass each (no ctx)
  *
  * Heap representation: a binary min-heap over parallel (keys, ids)
  * arrays ordered lexicographically by (key, id) — exactly the total
@@ -66,6 +70,8 @@
  */
 
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 #if defined(_WIN32)
 #define REPRO_EXPORT __declspec(dllexport)
@@ -847,29 +853,40 @@ REPRO_EXPORT long repro_walk_motif(long motif, long n_nodes, long n_entries,
  *       the per-(edge, target) counter matrix: one run per distinct
  *       target along an edge's (target-ordered) instance row;
  *   inst_slot (n_memberships)
- *       each membership's counter-matrix slot.
+ *       each membership's counter-matrix slot;
+ *   candidates (m), n_candidates (1)
+ *       the edge ids with a positive gain, ascending, and their count;
+ *   entry_offsets (n_targets + 1)
+ *       the counter-matrix entries of targets below t, for every t (the
+ *       first half of the pair layout of repro_pair_drive).
  * et_tidx / et_count need room for n_memberships entries (the run count
  * never exceeds it); `scratch` is n_memberships longs of caller-owned
  * scratch.  `n_target_idx` is the length of `inst_target_idx`, which
- * must hold one entry per instance.  Returns the number of counter-matrix
- * entries, or -1 (outputs unspecified) when an edge id, the instance
- * offsets or the target-index length are out of range, so no read or
- * write ever leaves its buffer. */
+ * must hold one entry per instance, each below `n_targets`.  Returns the
+ * number of counter-matrix entries, or -1 (outputs unspecified) when an
+ * edge id, a target index, the instance offsets or the target-index
+ * length are out of range, so no read or write ever leaves its buffer. */
 REPRO_EXPORT long repro_assemble_index(long m, long n_instances,
                                        long n_memberships, long n_target_idx,
+                                       long n_targets,
                                        const long *inst_indptr,
                                        const long *memberships,
                                        const long *inst_target_idx,
                                        long *edge_indptr, long *gain,
                                        long *edge_inst_ids, long *et_indptr,
                                        long *et_tidx, long *et_count,
-                                       long *inst_slot, long *scratch)
+                                       long *inst_slot, long *scratch,
+                                       long *candidates, long *n_candidates,
+                                       long *entry_offsets)
 {
-    long e, i, p, q, lo, runs = 0, offset = 0;
+    long e, i, p, q, lo, t, runs = 0, offset = 0, found = 0;
     long *cursor = et_indptr; /* reused before pass 3 overwrites it */
-    if (n_target_idx != n_instances || inst_indptr[0] != 0
+    if (n_target_idx != n_instances || n_targets < 0 || inst_indptr[0] != 0
         || inst_indptr[n_instances] != n_memberships)
         return -1;
+    for (i = 0; i < n_instances; i++)
+        if ((unsigned long) inst_target_idx[i] >= (unsigned long) n_targets)
+            return -1;
     for (i = 0; i < n_instances; i++)
         if (inst_indptr[i + 1] < inst_indptr[i])
             return -1;
@@ -885,8 +902,13 @@ REPRO_EXPORT long repro_assemble_index(long m, long n_instances,
         edge_indptr[e] = offset;
         cursor[e] = offset;
         offset += gain[e];
+        if (gain[e] > 0)
+            candidates[found++] = e;
     }
     edge_indptr[m] = offset;
+    *n_candidates = found;
+    for (t = 0; t <= n_targets; t++)
+        entry_offsets[t] = 0;
     /* pass 2: scatter instance ids into their edges' rows, remembering
      * each sorted position's membership position */
     for (i = 0; i < n_instances; i++) {
@@ -907,6 +929,7 @@ REPRO_EXPORT long repro_assemble_index(long m, long n_instances,
             if (tidx != previous) {
                 et_tidx[runs] = tidx;
                 et_count[runs] = 0;
+                entry_offsets[tidx + 1] += 1;
                 runs++;
                 previous = tidx;
             }
@@ -916,5 +939,342 @@ REPRO_EXPORT long repro_assemble_index(long m, long n_instances,
         et_indptr[e + 1] = runs;
         lo = hi;
     }
+    for (t = 0; t < n_targets; t++)
+        entry_offsets[t + 1] += entry_offsets[t];
     return runs;
+}
+
+/* ------------------------------------------------------------------ */
+/* graph splice of a delta                                             */
+/* ------------------------------------------------------------------ */
+
+/* The new id of old node `x` (the identity without a node-id map). */
+#define SPLICE_NODE(map, x) ((map) ? (map)[x] : (x))
+
+static int splice_long_cmp(const void *a, const void *b)
+{
+    long x = *(const long *) a, y = *(const long *) b;
+    return (x > y) - (x < y);
+}
+
+/* Directed entries to insert are (src, dst, edge id) rows; they sort by
+ * (src, dst), which is also their CSR position order. */
+static int splice_entry_cmp(const void *a, const void *b)
+{
+    const long *x = (const long *) a, *y = (const long *) b;
+    if (x[0] != y[0])
+        return x[0] < y[0] ? -1 : 1;
+    return (x[1] > y[1]) - (x[1] < y[1]);
+}
+
+/* Whether old node `row` has a CSR row inside the `n_entries` entries. */
+static int splice_row_ok(const long *indptr, long n, long n_entries, long row)
+{
+    return (unsigned long) row < (unsigned long) n && indptr[row] >= 0
+           && indptr[row] <= indptr[row + 1] && indptr[row + 1] <= n_entries;
+}
+
+/* First position in [lo, hi) of the old `neighbors` whose new id is not
+ * below `key`, or -1 for a neighbor that is no node id. */
+static long splice_row_find(const long *neighbors, const long *map, long n,
+                            long lo, long hi, long key)
+{
+    while (lo < hi) {
+        long mid = lo + (hi - lo) / 2, x = neighbors[mid];
+        if ((unsigned long) x >= (unsigned long) n)
+            return -1;
+        if (SPLICE_NODE(map, x) < key)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* Copy the old edges [from, to) to new ids out, out + 1, ...: their
+ * endpoint pairs (relabelled through `map`, if any) and their edge-id map
+ * entries.  Returns 0 for an endpoint that is no node id.  Out-of-range
+ * ids are clamped before they index `map`, so the loops need no branch. */
+static int splice_copy_edges(const long *restrict pairs, const long *restrict map,
+                             long n, long from, long to, long out,
+                             long *restrict new_pairs,
+                             long *restrict edge_id_map)
+{
+    long k, shift = out - from;
+    unsigned long bad = 0;
+    if (map) {
+        for (k = 2 * from; k < 2 * to; k++) {
+            unsigned long x = (unsigned long) pairs[k];
+            bad |= x >= (unsigned long) n;
+            new_pairs[k + 2 * shift] = map[x < (unsigned long) n ? x : 0];
+        }
+    } else if (to > from) {
+        memcpy(new_pairs + 2 * out, pairs + 2 * from,
+               (size_t) (2 * (to - from)) * sizeof(long));
+    }
+    for (k = from; k < to; k++)
+        edge_id_map[k] = k + shift;
+    return !bad;
+}
+
+/* Copy the old CSR entries [from, to) to `new_neighbors` / `new_incident`:
+ * neighbors relabelled through `map` (if any), incident edge ids through
+ * `edge_id_map`.  Returns 0 for a neighbor that is no node id or an
+ * incident edge that is no edge id or was dropped (ids clamped before
+ * they index, as in splice_copy_edges). */
+static int splice_copy_entries(const long *restrict neighbors,
+                               const long *restrict incident,
+                               const long *restrict map, long n, long m,
+                               const long *restrict edge_id_map, long from,
+                               long to, long *restrict new_neighbors,
+                               long *restrict new_incident)
+{
+    long k, count = to - from;
+    unsigned long bad = 0;
+    if (map) {
+        for (k = 0; k < count; k++) {
+            unsigned long x = (unsigned long) neighbors[from + k];
+            bad |= x >= (unsigned long) n;
+            new_neighbors[k] = map[x < (unsigned long) n ? x : 0];
+        }
+    } else if (count > 0) {
+        memcpy(new_neighbors, neighbors + from, (size_t) count * sizeof(long));
+    }
+    for (k = 0; k < count; k++) {
+        unsigned long e = (unsigned long) incident[from + k];
+        long id = edge_id_map[e < (unsigned long) m ? e : 0];
+        bad |= (e >= (unsigned long) m) | ((unsigned long) id >> 63);
+        new_incident[k] = id;
+    }
+    return !bad;
+}
+
+/* How many old nodes have a new id below `x`. */
+static long splice_old_below(const long *map, long n, long x)
+{
+    long lo = 0, hi = n;
+    if (!map)
+        return x < n ? x : n;
+    while (lo < hi) {
+        long mid = lo + (hi - lo) / 2;
+        if (map[mid] < x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* Splice a delta into an IndexedGraph: the old graph has `n` nodes and
+ * `m` edges, its endpoint-id `pairs` (2m, edge-id order), `indptr`
+ * (n+1), `neighbors` and `incident` (2m each).  The delta removes the
+ * `n_dropped` edge ids of `dropped` (strictly ascending) and adds the
+ * `n_added` edges of `added`, pairs of new node ids (2 n_added, strictly
+ * ascending as pairs).  `node_id_map` maps the old node ids to the
+ * `n_new` new ones (strictly ascending), or is NULL when no node was
+ * added (n_new == n).  One merge pass per table writes
+ *   edge_id_map (m)           old edge id -> new, -1 for a dropped one
+ *   new_pairs (2m')           the endpoint-id pairs in new edge-id order
+ *   new_indptr (n_new + 1), new_neighbors (2m'), new_incident (2m')
+ *                             the CSR, rows by src, neighbors ascending
+ * with m' = m - n_dropped + n_added, exactly what a fresh build of the
+ * updated graph gives (IndexedGraph._splice_numpy is the reference).
+ * `scratch` holds 10 n_added + 2 n_dropped longs.  Returns m', or -1
+ * (outputs unspecified) for an input out of range or out of order, an
+ * added edge that is already there, or a CSR that does not hold the
+ * dropped edges, so no read or write ever leaves its buffer. */
+REPRO_EXPORT long repro_splice_graph(long n, long n_new, long m,
+                                     const long *pairs, const long *indptr,
+                                     const long *neighbors,
+                                     const long *incident,
+                                     const long *node_id_map,
+                                     const long *dropped, long n_dropped,
+                                     const long *added, long n_added,
+                                     long *edge_id_map, long *new_pairs,
+                                     long *new_indptr, long *new_neighbors,
+                                     long *new_incident, long *scratch)
+{
+    const long *map = node_id_map;
+    long n_entries = 2 * m, m_new = m - n_dropped + n_added;
+    long *edge_at = scratch, *added_id = scratch + n_added;
+    long *drop_at = scratch + 2 * n_added;
+    long *entries = drop_at + 2 * n_dropped; /* 2 n_added rows of 3 */
+    long *entry_at = entries + 6 * n_added;
+    long i, j, k, x, p, lo, out, cursor, acc;
+
+    if (n < 0 || m < 0 || n_dropped < 0 || n_added < 0 || n_dropped > m
+        || n_new < n || (!map && n_new != n) || indptr[0] != 0
+        || indptr[n] != n_entries)
+        return -1;
+    if (map)
+        for (x = 0; x < n; x++)
+            if (map[x] < 0 || map[x] >= n_new || (x > 0 && map[x] <= map[x - 1]))
+                return -1;
+    for (j = 0; j < n_dropped; j++)
+        if (dropped[j] < 0 || dropped[j] >= m
+            || (j > 0 && dropped[j] <= dropped[j - 1]))
+            return -1;
+    for (i = 0; i < n_added; i++) {
+        long h = added[2 * i], t = added[2 * i + 1];
+        if ((unsigned long) h >= (unsigned long) n_new
+            || (unsigned long) t >= (unsigned long) n_new || h == t)
+            return -1;
+        if (i > 0 && (h < added[2 * i - 2]
+                      || (h == added[2 * i - 2] && t <= added[2 * i - 1])))
+            return -1;
+    }
+
+    /* edge table: each added pair goes before the first old pair (in new
+     * ids) not below it; the added pairs ascend, so the searches do too */
+    lo = 0;
+    for (i = 0; i < n_added; i++) {
+        long h = added[2 * i], t = added[2 * i + 1], hi = m;
+        while (lo < hi) {
+            long mid = lo + (hi - lo) / 2, a = pairs[2 * mid], b = pairs[2 * mid + 1];
+            if ((unsigned long) a >= (unsigned long) n
+                || (unsigned long) b >= (unsigned long) n)
+                return -1;
+            a = SPLICE_NODE(map, a);
+            b = SPLICE_NODE(map, b);
+            if (a < h || (a == h && b < t))
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        if (lo < m && SPLICE_NODE(map, pairs[2 * lo]) == h
+            && SPLICE_NODE(map, pairs[2 * lo + 1]) == t) {
+            /* only a dropped edge may come back */
+            long a = 0, b = n_dropped;
+            while (a < b) {
+                long mid = a + (b - a) / 2;
+                if (dropped[mid] < lo)
+                    a = mid + 1;
+                else
+                    b = mid;
+            }
+            if (a == n_dropped || dropped[a] != lo)
+                return -1;
+        }
+        edge_at[i] = lo;
+    }
+    out = cursor = i = j = 0;
+    for (;;) {
+        long stop = m;
+        int insert = -1;
+        if (i < n_added && (j == n_dropped || edge_at[i] <= dropped[j])) {
+            stop = edge_at[i];
+            insert = 1;
+        } else if (j < n_dropped) {
+            stop = dropped[j];
+            insert = 0;
+        }
+        if (!splice_copy_edges(pairs, map, n, cursor, stop, out, new_pairs,
+                               edge_id_map))
+            return -1;
+        out += stop - cursor;
+        if (insert < 0)
+            break;
+        if (insert) {
+            new_pairs[2 * out] = added[2 * i];
+            new_pairs[2 * out + 1] = added[2 * i + 1];
+            added_id[i++] = out++;
+            cursor = stop;
+        } else {
+            edge_id_map[stop] = -1;
+            cursor = stop + 1;
+            j++;
+        }
+    }
+
+    /* the two directed CSR entries of every dropped edge, in old ids */
+    for (j = 0; j < n_dropped; j++) {
+        long a = pairs[2 * dropped[j]], b = pairs[2 * dropped[j] + 1];
+        for (k = 0; k < 2; k++) {
+            long src = k ? b : a, dst = k ? a : b;
+            if (!splice_row_ok(indptr, n, n_entries, src))
+                return -1;
+            p = splice_row_find(neighbors, 0, n, indptr[src], indptr[src + 1], dst);
+            if (p < 0 || p == indptr[src + 1] || neighbors[p] != dst
+                || incident[p] != dropped[j])
+                return -1;
+            drop_at[2 * j + k] = p;
+        }
+    }
+    qsort(drop_at, (size_t) (2 * n_dropped), sizeof(long), splice_long_cmp);
+
+    /* the two directed entries of every added edge, and where each goes:
+     * a fresh node's row is empty, at the old rows' boundary it sorts to */
+    for (i = 0; i < n_added; i++) {
+        long *row = entries + 6 * i;
+        row[0] = row[4] = added[2 * i];
+        row[1] = row[3] = added[2 * i + 1];
+        row[2] = row[5] = added_id[i];
+    }
+    qsort(entries, (size_t) (2 * n_added), 3 * sizeof(long), splice_entry_cmp);
+    for (i = 0; i < 2 * n_added; i++) {
+        long src = entries[3 * i], dst = entries[3 * i + 1];
+        long below = splice_old_below(map, n, src);
+        if (below < n && SPLICE_NODE(map, below) == src) {
+            if (!splice_row_ok(indptr, n, n_entries, below))
+                return -1;
+            p = splice_row_find(neighbors, map, n, indptr[below],
+                                indptr[below + 1], dst);
+            if (p < 0)
+                return -1;
+        } else {
+            p = indptr[below];
+        }
+        entry_at[i] = p;
+    }
+
+    out = cursor = i = j = 0;
+    for (;;) {
+        long stop = n_entries;
+        int insert = -1;
+        if (i < 2 * n_added && (j == 2 * n_dropped || entry_at[i] <= drop_at[j])) {
+            stop = entry_at[i];
+            insert = 1;
+        } else if (j < 2 * n_dropped) {
+            stop = drop_at[j];
+            insert = 0;
+        }
+        if (stop < cursor
+            || !splice_copy_entries(neighbors, incident, map, n, m, edge_id_map,
+                                    cursor, stop, new_neighbors + out,
+                                    new_incident + out))
+            return -1;
+        out += stop - cursor;
+        if (insert < 0)
+            break;
+        if (insert) {
+            new_neighbors[out] = entries[3 * i + 1];
+            new_incident[out++] = entries[3 * i + 2];
+            cursor = stop;
+            i++;
+        } else {
+            cursor = stop + 1;
+            j++;
+        }
+    }
+
+    /* indptr: the old row offsets relabelled into the new id space (a
+     * fresh node's row starts where the next old row does), plus the
+     * running sum of the degree changes */
+    for (x = 0; x <= n_new; x++)
+        new_indptr[x] = 0;
+    for (j = 0; j < n_dropped; j++) {
+        new_indptr[SPLICE_NODE(map, pairs[2 * dropped[j]]) + 1] -= 1;
+        new_indptr[SPLICE_NODE(map, pairs[2 * dropped[j] + 1]) + 1] -= 1;
+    }
+    for (i = 0; i < 2 * n_added; i++)
+        new_indptr[added[i] + 1] += 1;
+    acc = 0;
+    k = 0;
+    for (x = 0; x <= n_new; x++) {
+        acc += new_indptr[x];
+        while (k < n && SPLICE_NODE(map, k) < x)
+            k++;
+        new_indptr[x] = indptr[k] + acc;
+    }
+    return m_new;
 }

@@ -63,7 +63,9 @@ Regenerate Fig. 3 at quick scale::
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
+import threading
 import time
 from typing import List, Optional
 
@@ -569,26 +571,35 @@ def _command_serve(args: argparse.Namespace) -> int:
         solver_threads=args.solver_threads,
         poll_interval=args.follow_store,
     )
+    # SIGTERM and SIGINT both drain; installing the SIGINT handler also
+    # undoes an inherited SIG_IGN (a server started by `cmd &` from a
+    # non-interactive shell would otherwise ignore Ctrl-C and SIGINT)
+    stop = threading.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda *_: stop.set())
     handle = serve_in_background(server, host=args.host, port=args.port)
     print(
         f"serving {len(service.targets)} targets at {handle.url} "
         f"(content hash {server.content_hash()[:12]}…); endpoints: "
         "POST /solve, GET /healthz, GET /stats, POST /reload"
-        + (", /artifacts" if store is not None else "")
+        + (", /artifacts" if store is not None else ""),
+        flush=True,
     )
-    print("Ctrl-C stops the server (in-flight queries drain first)")
-    try:
-        while True:
-            time.sleep(1.0)
-    except KeyboardInterrupt:
-        print("draining...", file=sys.stderr)
-        handle.stop()
-        stats = server.stats()
-        print(
-            f"served {stats['queries_served']} queries "
-            f"({stats['coalesced_hits']} coalesced, "
-            f"{stats['rejected']} rejected, {stats['reloads']} reloads)"
-        )
+    print(
+        "Ctrl-C or SIGTERM stops the server (in-flight queries drain first)",
+        flush=True,
+    )
+    while not stop.wait(1.0):
+        pass
+    print("draining...", file=sys.stderr, flush=True)
+    handle.stop()
+    stats = server.stats()
+    print(
+        f"served {stats['queries_served']} queries "
+        f"({stats['coalesced_hits']} coalesced, "
+        f"{stats['rejected']} rejected, {stats['reloads']} reloads)",
+        flush=True,
+    )
     return 0
 
 

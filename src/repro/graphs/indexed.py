@@ -29,6 +29,14 @@ falls out of one more lexsort over the doubled endpoint arrays — no
 per-node neighbor sort, no per-position dict lookup.  The seed's pure-Python
 loop lives on in ``tests/graphs/test_indexed.py`` as the reference the
 vectorised assembly is pinned to, byte for byte.
+
+A graph update does not rebuild: :meth:`IndexedGraph._apply_edge_delta`
+splices a batch of edge deletions and insertions into the sorted storage,
+byte-identical to a fresh build of the updated graph.  With the native
+kernel loaded it is one ``repro_splice_graph`` call that writes the new
+``array("l")`` storage in place, allocated at its final sizes; the numpy
+splice is the ``REPRO_NATIVE=0`` fallback and the differential oracle
+(``tests/property/test_native_splice_differential.py``).
 """
 
 from __future__ import annotations
@@ -39,7 +47,8 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
+from repro._native import NativeKernel, load_kernel
+from repro.exceptions import EdgeNotFoundError, GraphError, NodeNotFoundError
 from repro.graphs.graph import Edge, Graph, Node, canonical_edge
 
 __all__ = ["IndexedGraph"]
@@ -174,15 +183,19 @@ class IndexedGraph:
 
         The result is byte-identical to ``IndexedGraph(updated_graph)`` —
         same node order, same edge-id order, same CSR rows — but built by
-        slicing the existing sorted storage around the (tiny) delta instead
+        merging the (tiny) delta into the existing sorted storage instead
         of re-sorting the world.  Node ids stay monotone under insertion of
         new labels, so every surviving edge and CSR entry keeps its relative
-        order: a binary search per changed edge into the sorted edge heads
-        and the sorted CSR rows finds where it goes (O(k log E)), and each
-        new array is the untouched slices between those positions
-        concatenated with the new rows.  The only full-length passes are
-        memcpy-like: the slice copies, one cumsum of ``±1`` events for the
-        edge-id map and one gather remapping the incident edge ids.
+        order: a binary search per changed edge into the sorted edge pairs
+        and the sorted CSR rows finds where it goes, and each new array is
+        the untouched runs between those positions with the new rows
+        merged in.  With the native kernel loaded, one
+        ``repro_splice_graph`` call does that merge straight into the
+        buffers the new snapshot keeps (:meth:`_splice_native`); otherwise
+        numpy slices and concatenations do (:meth:`_splice_numpy`, also the
+        native path's differential oracle).  Either way the only
+        full-length passes are copies: the surviving runs, and the
+        old-to-new edge-id map the incident edge ids are remapped through.
 
         Parameters
         ----------
@@ -201,11 +214,6 @@ class IndexedGraph:
             map, or ``None`` when no new nodes appeared (ids unchanged).
         """
         n = len(self._nodes)
-        m = self.number_of_edges()
-        pairs = self._endpoint_id_pairs()
-        indptr = np.frombuffer(self._indptr, dtype=NP_LONG)
-        neighbors = np.frombuffer(self._neighbors, dtype=NP_LONG)
-
         # --- node table: merge brand-new endpoint labels in str order ----
         fresh_labels = sorted(
             {x for edge in inserted_edges for x in edge if x not in self._node_id},
@@ -219,24 +227,128 @@ class IndexedGraph:
                 dtype=NP_LONG,
                 count=n,
             )
-            # relabel the old storage into the new id space (monotone, so
-            # no row moves); a fresh node gets an empty row where it sorts
-            pairs = node_id_map[pairs]
-            neighbors = node_id_map[neighbors]
-            indptr = indptr[
-                np.searchsorted(node_id_map, np.arange(len(new_nodes) + 1))
-            ]
         else:
             new_nodes = self._nodes
             new_node_id = self._node_id  # immutable after construction: share
             node_id_map = None
 
-        # --- edge table: drop deleted rows, insert the new pairs ---------
         dropped = np.sort(np.asarray(deleted_edge_ids, dtype=NP_LONG))
         added = np.array(
             sorted((new_node_id[u], new_node_id[v]) for u, v in inserted_edges),
             dtype=NP_LONG,
         ).reshape(-1, 2)
+        kernel = load_kernel()
+        if kernel is None:
+            storage, edge_id_map = self._splice_numpy(
+                len(new_nodes), node_id_map, dropped, added
+            )
+        else:
+            storage, edge_id_map = self._splice_native(
+                kernel, len(new_nodes), node_id_map, dropped, added
+            )
+        spliced = IndexedGraph.__new__(IndexedGraph)
+        spliced._nodes = new_nodes
+        spliced._node_id = new_node_id
+        spliced._edges = None
+        spliced._edge_id = None
+        (
+            spliced._pair_ids,
+            spliced._indptr,
+            spliced._neighbors,
+            spliced._incident_edges,
+        ) = storage
+        spliced._lazy_edge_ids = spliced._pair_ids
+        return spliced, edge_id_map, node_id_map
+
+    def _splice_native(
+        self,
+        kernel: NativeKernel,
+        n_new: int,
+        node_id_map: Optional[np.ndarray],
+        dropped: np.ndarray,
+        added: np.ndarray,
+    ) -> Tuple[Tuple[array, array, array, array], np.ndarray]:
+        """The native splice of :meth:`_apply_edge_delta`: one
+        ``repro_splice_graph`` call writes the edge-id map and the new
+        ``(pairs, indptr, neighbors, incident_edges)`` storage, allocated
+        here at its final sizes.
+
+        ``dropped`` holds the deleted edge ids ascending, ``added`` the
+        inserted edges as ``(k, 2)`` new-id pairs in ascending order, and
+        ``node_id_map`` the strictly ascending old-to-new node ids (or
+        ``None``: ids unchanged, ``n_new`` nodes as now).
+
+        Raises
+        ------
+        GraphError
+            If an input is out of range or out of order, an inserted edge
+            is already an edge, or the CSR does not hold a deleted edge;
+            the kernel checks before it reads.
+        """
+        n = len(self._nodes)
+        m = self.number_of_edges()
+        dropped = np.ascontiguousarray(dropped, dtype=NP_LONG)
+        added = np.ascontiguousarray(added, dtype=NP_LONG)
+        m_new = m - len(dropped) + len(added)
+        edge_id_map = np.empty(m, dtype=NP_LONG)
+        zero = array("l", [0])
+        storage = (
+            zero * (2 * m_new),
+            zero * (n_new + 1),
+            zero * (2 * m_new),
+            zero * (2 * m_new),
+        )
+        pairs, indptr, neighbors, incident = storage
+        scratch = np.empty(10 * len(added) + 2 * len(dropped), dtype=NP_LONG)
+        status = kernel.splice_graph(
+            n,
+            n_new,
+            m,
+            self._pair_ids.buffer_info()[0],
+            self._indptr.buffer_info()[0],
+            self._neighbors.buffer_info()[0],
+            self._incident_edges.buffer_info()[0],
+            None if node_id_map is None else node_id_map.ctypes.data,
+            dropped.ctypes.data,
+            len(dropped),
+            added.ctypes.data,
+            len(added),
+            edge_id_map.ctypes.data,
+            pairs.buffer_info()[0],
+            indptr.buffer_info()[0],
+            neighbors.buffer_info()[0],
+            incident.buffer_info()[0],
+            scratch.ctypes.data,
+        )
+        if status < 0:
+            raise GraphError(
+                "the delta's edge ids, endpoint ids or node-id map are out of "
+                "range or out of order, or do not match the graph's CSR"
+            )
+        return storage, edge_id_map
+
+    def _splice_numpy(
+        self,
+        n_new: int,
+        node_id_map: Optional[np.ndarray],
+        dropped: np.ndarray,
+        added: np.ndarray,
+    ) -> Tuple[Tuple[array, array, array, array], np.ndarray]:
+        """The numpy splice of :meth:`_apply_edge_delta` (the native
+        splice's fallback and differential oracle); same inputs and
+        outputs as :meth:`_splice_native`."""
+        m = self.number_of_edges()
+        pairs = self._endpoint_id_pairs()
+        indptr = np.frombuffer(self._indptr, dtype=NP_LONG)
+        neighbors = np.frombuffer(self._neighbors, dtype=NP_LONG)
+        if node_id_map is not None:
+            # relabel the old storage into the new id space (monotone, so
+            # no row moves); a fresh node gets an empty row where it sorts
+            pairs = node_id_map[pairs]
+            neighbors = node_id_map[neighbors]
+            indptr = indptr[np.searchsorted(node_id_map, np.arange(n_new + 1))]
+
+        # --- edge table: drop deleted rows, insert the new pairs ---------
         heads = np.ascontiguousarray(pairs[:, 0])
         first = np.searchsorted(heads, added[:, 0], "left").tolist()
         last = np.searchsorted(heads, added[:, 0], "right").tolist()
@@ -286,23 +398,18 @@ class IndexedGraph:
             entry_at,
             np.array([entry[3] for entry in entries], dtype=NP_LONG),
         )
-        degree_change = np.zeros(len(new_nodes), dtype=NP_LONG)
+        degree_change = np.zeros(n_new, dtype=NP_LONG)
         np.add.at(degree_change, pairs[dropped].reshape(-1), -1)
         np.add.at(degree_change, added.reshape(-1), 1)
         new_indptr = indptr.copy()
         new_indptr[1:] += np.cumsum(degree_change)
-
-        spliced = IndexedGraph.__new__(IndexedGraph)
-        spliced._nodes = new_nodes
-        spliced._node_id = new_node_id
-        spliced._edges = None
-        spliced._edge_id = None
-        spliced._lazy_edge_ids = _as_long_array(new_pairs.reshape(-1))
-        spliced._pair_ids = spliced._lazy_edge_ids
-        spliced._indptr = _as_long_array(new_indptr)
-        spliced._neighbors = _as_long_array(new_neighbors)
-        spliced._incident_edges = _as_long_array(new_incident)
-        return spliced, edge_id_map, node_id_map
+        storage = (
+            _as_long_array(new_pairs.reshape(-1)),
+            _as_long_array(new_indptr),
+            _as_long_array(new_neighbors),
+            _as_long_array(new_incident),
+        )
+        return storage, edge_id_map
 
     def _materialise_edges(self) -> None:
         """Build the deferred edge-object tables of a restored snapshot.

@@ -425,9 +425,7 @@ class CoverageState:
 
     def _own_gain(self, edge_id: int, tidx: int) -> int:
         """Return the live (edge, target) counter; rows are tidx-ascending."""
-        index = self._index
-        et_tidx = index._et_tidx_l
-        indptr = index._et_indptr_l
+        indptr, et_tidx = self._index._et_row_mirrors()
         for slot in range(indptr[edge_id], indptr[edge_id + 1]):
             entry = et_tidx[slot]
             if entry == tidx:

@@ -311,51 +311,79 @@ class TargetSubgraphIndex:
             cursor += count
         self._target_ranges: Tuple[Tuple[int, int], ...] = tuple(ranges)
 
-        self._assemble(edge_buffer, arity_buffer, counts)
-        self._finalize_derived()
+        self._finalize_derived(*self._assemble(edge_buffer, arity_buffer, counts))
 
-    def _finalize_derived(self) -> None:
+    def _finalize_derived(
+        self,
+        candidate_ids: Optional[np.ndarray] = None,
+        layout: Optional[np.ndarray] = None,
+        parent: Optional["TargetSubgraphIndex"] = None,
+    ) -> None:
         """Derive the query-side helpers from the assembled flat arrays.
 
-        Shared tail of a fresh build and a snapshot restore: everything set
-        here is a pure function of the :data:`INDEX_ARRAY_FIELDS` arrays, so
-        the two paths cannot drift apart.
+        Shared tail of a fresh build, a splice and a snapshot restore:
+        everything set here is a pure function of the
+        :data:`INDEX_ARRAY_FIELDS` arrays and the targets, so the paths
+        cannot drift apart.  The native assembly hands over the candidate
+        ids and the pair layout's entry offsets it emitted in its own pass;
+        a delta's ``parent`` (same targets, same order) hands over the
+        targets' ``edge_sort_key`` ranks.  Whatever is not handed over is
+        derived here with numpy, which is also the native kernel's fallback
+        and oracle.
         """
         #: Candidate edge ids (edges in >= 1 instance), ascending == sorted
-        #: by ``edge_sort_key`` thanks to the IndexedGraph id order.  Held
-        #: both as python ints (heap building iterates them) and as an array
-        #: (vector gathers index with it).
-        self._candidate_id_array = np.flatnonzero(self._initial_gain)
-        self._candidate_ids: Tuple[int, ...] = tuple(
-            self._candidate_id_array.tolist()
-        )
-
-        # array("l") mirrors of the counter-matrix row structure: the heap
-        # validation loops read these element-wise, and scalar reads from an
-        # array yield plain ints without numpy boxing
-        self._et_indptr_l = array("l")
-        self._et_indptr_l.frombytes(self._et_indptr.tobytes())
-        self._et_tidx_l = array("l")
-        self._et_tidx_l.frombytes(self._et_tidx.tobytes())
+        #: by ``edge_sort_key`` thanks to the IndexedGraph id order.  Vector
+        #: gathers and the native heaps index with the array; the python-int
+        #: tuple (:attr:`_candidate_ids`) is built on first use.
+        if candidate_ids is None:
+            candidate_ids = np.flatnonzero(self._initial_gain)
+        self._candidate_id_array = candidate_ids
 
         # the native kernel's per-target layout (coverage_kernel.c):
         # [counter-matrix entry offsets (n_targets + 1) | rank in
         # edge_sort_key order (n_targets)]
         n_targets = len(self._targets)
-        layout = np.zeros(2 * n_targets + 1, dtype=NP_LONG)
-        np.cumsum(
-            np.bincount(self._et_tidx, minlength=n_targets),
-            out=layout[1 : n_targets + 1],
-        )
-        targets = self._targets
-        ranked = sorted(range(n_targets), key=lambda i: edge_sort_key(targets[i]))
-        layout[n_targets + 1 :][ranked] = np.arange(n_targets)
+        if layout is None:
+            layout = np.zeros(2 * n_targets + 1, dtype=NP_LONG)
+            np.cumsum(
+                np.bincount(self._et_tidx, minlength=n_targets),
+                out=layout[1 : n_targets + 1],
+            )
+        if parent is None:
+            targets = self._targets
+            ranked = sorted(range(n_targets), key=lambda i: edge_sort_key(targets[i]))
+            layout[n_targets + 1 :][ranked] = np.arange(n_targets)
+        else:
+            layout[n_targets + 1 :] = parent._pair_layout[n_targets + 1 :]
         self._pair_layout = layout
 
-        # edge -> frozenset(instance ids), materialised lazily on first use:
-        # only the tuple-level accessors need it (the kernel reads the CSR
-        # directly)
+        # built on first use: only the tuple accessors and the numpy
+        # kernel's scalar loops read these
+        self._candidate_id_tuple: Optional[Tuple[int, ...]] = None
+        self._et_mirrors: Optional[Tuple[array, array]] = None
+        # edge -> frozenset(instance ids): only the tuple-level accessors
+        # need it (the kernel reads the CSR directly)
         self._edge_to_instances: Optional[Dict[Edge, FrozenSet[InstanceId]]] = None
+
+    @property
+    def _candidate_ids(self) -> Tuple[int, ...]:
+        """The candidate edge ids as python ints, ascending."""
+        ids = self._candidate_id_tuple
+        if ids is None:
+            ids = self._candidate_id_tuple = tuple(self._candidate_id_array.tolist())
+        return ids
+
+    def _et_row_mirrors(self) -> Tuple[array, array]:
+        """``array("l")`` mirrors of ``(_et_indptr, _et_tidx)``: the numpy
+        kernel's scalar loops read them element-wise, and scalar reads from
+        an array yield plain ints without numpy boxing."""
+        mirrors = self._et_mirrors
+        if mirrors is None:
+            indptr, tidx = array("l"), array("l")
+            indptr.frombytes(self._et_indptr.tobytes())
+            tidx.frombytes(self._et_tidx.tobytes())
+            mirrors = self._et_mirrors = (indptr, tidx)
+        return mirrors
 
     @classmethod
     def _from_buffers(
@@ -366,6 +394,7 @@ class TargetSubgraphIndex:
         edge_buffer,
         arity_buffer,
         counts: List[int],
+        parent: Optional["TargetSubgraphIndex"] = None,
     ) -> "TargetSubgraphIndex":
         """Assemble an index from pre-collected pass-1 buffers.
 
@@ -375,14 +404,20 @@ class TargetSubgraphIndex:
         rows spliced together with freshly re-enumerated ones — and the
         assembled arrays are then bit-identical to a from-scratch build by
         construction (same vectorised passes 2-3, same inputs).  Targets
-        must already be canonical.
+        must already be canonical.  A ``parent`` over the very same targets,
+        in the same order (the index a delta was applied to), lends its
+        target-invariant state, the target positions and ranks, instead of
+        re-deriving it.
         """
         self = cls.__new__(cls)
         self._motif = motif
         self._targets = tuple(targets)
-        self._target_index = {
-            target: position for position, target in enumerate(self._targets)
-        }
+        if parent is not None:
+            self._target_index = parent._target_index
+        else:
+            self._target_index = {
+                target: position for position, target in enumerate(self._targets)
+            }
         self._indexed = indexed
         ranges: List[Tuple[int, int]] = []
         cursor = 0
@@ -390,8 +425,9 @@ class TargetSubgraphIndex:
             ranges.append((cursor, cursor + count))
             cursor += count
         self._target_ranges = tuple(ranges)
-        self._assemble(edge_buffer, arity_buffer, counts)
-        self._finalize_derived()
+        self._finalize_derived(
+            *self._assemble(edge_buffer, arity_buffer, counts), parent=parent
+        )
         return self
 
     def restricted_to(self, targets: Sequence[Edge]) -> "TargetSubgraphIndex":
@@ -495,16 +531,21 @@ class TargetSubgraphIndex:
         self._finalize_derived()
         return self
 
-    def _assemble(self, edge_buffer, arity_buffer, counts: List[int]) -> None:
+    def _assemble(
+        self, edge_buffer, arity_buffer, counts: List[int]
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         """Passes 2-3: in the native kernel when it is loaded, else numpy.
 
         Both set the same :data:`INDEX_ARRAY_FIELDS`, byte for byte.
+        Returns ``(candidate ids, pair layout)`` for
+        :meth:`_finalize_derived`: the native pass emits both (the layout's
+        rank half still unset), the numpy pass neither.
         """
         kernel = load_kernel()
         if kernel is not None:
-            self._assemble_native(kernel, edge_buffer, arity_buffer, counts)
-        else:
-            self._assemble_numpy(edge_buffer, arity_buffer, counts)
+            return self._assemble_native(kernel, edge_buffer, arity_buffer, counts)
+        self._assemble_numpy(edge_buffer, arity_buffer, counts)
+        return None, None
 
     def _instance_arrays(self, edge_buffer, arity_buffer, counts: List[int]):
         """Set the instance-major arrays shared by both assemblies; return
@@ -523,19 +564,23 @@ class TargetSubgraphIndex:
 
     def _assemble_native(
         self, kernel, edge_buffer, arity_buffer, counts: List[int]
-    ) -> None:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Passes 2-3 in one ``repro_assemble_index`` call: a counting sort
         into the inverse CSR (stable, like the numpy path's argsort) and a
-        run-length pass over it for the counter matrix and slot table.
-        The output buffers are allocated here, per call."""
+        run-length pass over it for the counter matrix and slot table,
+        emitting the candidate ids and the pair layout's entry offsets on
+        the way.  The output buffers are allocated here, per call."""
         memberships, arities = self._instance_arrays(
             edge_buffer, arity_buffer, counts
         )
         m = self._indexed.number_of_edges()
+        n_targets = len(self._targets)
         n_memberships = len(memberships)
         edge_indptr = np.empty(m + 1, dtype=NP_LONG)
         gain = np.empty(m, dtype=NP_LONG)
         et_indptr = np.empty(m + 1, dtype=NP_LONG)
+        candidates = np.empty(m + 1, dtype=NP_LONG)  # [m] gets the count
+        layout = np.empty(2 * n_targets + 1, dtype=NP_LONG)
         edge_inst_ids, et_tidx, et_count, inst_slot, scratch = (
             np.empty(n_memberships, dtype=NP_LONG) for _ in range(5)
         )
@@ -544,6 +589,7 @@ class TargetSubgraphIndex:
             len(arities),
             n_memberships,
             len(self._inst_target_idx),
+            n_targets,
             self._inst_indptr.ctypes.data,
             memberships.ctypes.data,
             self._inst_target_idx.ctypes.data,
@@ -555,6 +601,9 @@ class TargetSubgraphIndex:
             et_count.ctypes.data,
             inst_slot.ctypes.data,
             scratch.ctypes.data,
+            candidates.ctypes.data,
+            candidates[m:].ctypes.data,
+            layout.ctypes.data,
         )
         if slots < 0:
             raise MotifError(
@@ -568,6 +617,7 @@ class TargetSubgraphIndex:
         self._et_tidx = et_tidx[:slots].copy()
         self._et_initial_count = et_count[:slots].copy()
         self._inst_slot = inst_slot
+        return candidates[: candidates[m]].copy(), layout
 
     def _assemble_numpy(
         self, edge_buffer: array, arity_buffer: array, counts: List[int]
@@ -631,6 +681,8 @@ class TargetSubgraphIndex:
         # it on demand on the other side instead of pickling it
         state = self.__dict__.copy()
         state["_edge_to_instances"] = None
+        state["_candidate_id_tuple"] = None
+        state["_et_mirrors"] = None
         return state
 
     # ------------------------------------------------------------------
@@ -657,7 +709,7 @@ class TargetSubgraphIndex:
 
     def number_of_candidate_edges(self) -> int:
         """Return how many distinct edges participate in target subgraphs."""
-        return len(self._candidate_ids)
+        return len(self._candidate_id_array)
 
     def instances_of(self, target: Edge) -> Tuple[InstanceId, ...]:
         """Return the instance ids belonging to ``target`` (``W_t``)."""

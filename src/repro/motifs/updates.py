@@ -22,9 +22,13 @@ How a delta is applied
 2. **Graph splice.**  The :class:`~repro.graphs.indexed.IndexedGraph` CSR
    is spliced, not rebuilt: node ids stay monotone when new labels merge
    into the ``str``-sorted table and edge ids stay monotone across
-   deletions/insertions, so sorted merges (``searchsorted``) place every
-   row without a global re-sort.  The splice returns the old-to-new edge-id
-   map that drives the index splice.
+   deletions/insertions, so one merge pass per table places every row
+   without a global re-sort.  With the native kernel loaded the merge is
+   one ``repro_splice_graph`` call that writes the edge-id map, the
+   endpoint pairs and the CSR straight into the new graph's storage; the
+   numpy splice (``searchsorted`` plus slice concatenation) is its
+   fallback and differential oracle.  The splice returns the old-to-new
+   edge-id map that drives the index splice.
 3. **Destroyed instances** are read straight off the inverse
    ``edge -> instances`` CSR of the deleted edge ids — no enumeration.
 4. **Created instances** can only contain an inserted edge.  Every node of
@@ -46,7 +50,11 @@ How a delta is applied
    targets are visited; each run of untouched targets between them is one
    remapped slice.  The concatenated buffers feed the exact assembly
    passes of a fresh build, which is what makes bit-identity hold by
-   construction rather than by luck.
+   construction rather than by luck.  A delta never changes the targets
+   or their order, so the new index takes the target positions and their
+   ``edge_sort_key`` ranks from the parent index instead of re-deriving
+   them, and the native assembly emits the candidate edge ids in its own
+   pass.
 
 The differential tests (``tests/property/test_index_update_equivalence.py``)
 pin every delta path byte-identical against a from-scratch rebuild, across
@@ -421,7 +429,7 @@ def apply_delta(index: TargetSubgraphIndex, delta: EdgeDelta) -> DeltaOutcome:
         np.concatenate(arity_parts) if arity_parts else np.empty(0, dtype=NP_LONG)
     )
     new_index = TargetSubgraphIndex._from_buffers(
-        new_indexed, targets, motif, edge_buffer, arity_buffer, counts
+        new_indexed, targets, motif, edge_buffer, arity_buffer, counts, parent=index
     )
     return DeltaOutcome(
         index=new_index,

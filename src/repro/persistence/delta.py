@@ -54,6 +54,7 @@ from repro.persistence.snapshot import (
     SNAPSHOT_MAGIC,
     _header_digest,
     _read_sections,
+    _write_atomically,
     index_content_hash,
 )
 
@@ -215,7 +216,8 @@ def save_delta_snapshot(
     ----------
     path:
         Destination file (parent directories are created); conventionally
-        ``*.tppdelta``.
+        ``*.tppdelta``.  Written beside it and renamed into place, like
+        :func:`~repro.persistence.save_snapshot`.
     delta:
         The ordered edge updates.
     parent_index:
@@ -258,11 +260,14 @@ def save_delta_snapshot(
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
 
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as handle:
-        handle.write(_PREAMBLE.pack(DELTA_MAGIC, DELTA_VERSION, len(header_bytes)))
-        handle.write(header_bytes)
-        handle.write(payload_bytes)
+    _write_atomically(
+        path,
+        (
+            _PREAMBLE.pack(DELTA_MAGIC, DELTA_VERSION, len(header_bytes)),
+            header_bytes,
+            payload_bytes,
+        ),
+    )
     return path
 
 

@@ -80,8 +80,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import pickle
 import struct
+import tempfile
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -330,6 +332,8 @@ def save_snapshot(
     path:
         Destination file (parent directories are created).  By convention
         snapshots use the ``.tppsnap`` suffix, but any path is accepted.
+        The file is written beside it and renamed into place, so a write
+        that fails part-way leaves any previous file at ``path`` intact.
     index:
         A built :class:`TargetSubgraphIndex`.  Its flat arrays are written
         verbatim, so :func:`load_snapshot` restores it bit-identically.
@@ -410,14 +414,39 @@ def save_snapshot(
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
 
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as handle:
-        handle.write(
-            _PREAMBLE.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, len(header_bytes))
-        )
-        handle.write(header_bytes)
-        handle.write(payload_bytes)
+    _write_atomically(
+        path,
+        (
+            _PREAMBLE.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, len(header_bytes)),
+            header_bytes,
+            payload_bytes,
+        ),
+    )
     return path
+
+
+def _write_atomically(path: Path, chunks: Sequence[bytes]) -> None:
+    """Write ``chunks`` to ``path`` through a temp file beside it.
+
+    The bytes go to a temp file in the same directory, which
+    ``os.replace`` then renames over ``path`` (atomic on one
+    filesystem).  A reader therefore sees the previous file or the
+    complete new one, never a torn one, and a writer that fails before
+    the rename leaves the previous file in place and removes its temp
+    file.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, temp_name = tempfile.mkstemp(
+        prefix=f".{path.name}.", suffix=".tmp", dir=str(path.parent)
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        os.replace(temp_name, path)
+    except BaseException:
+        Path(temp_name).unlink(missing_ok=True)
+        raise
 
 
 # ----------------------------------------------------------------------
